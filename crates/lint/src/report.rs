@@ -4,6 +4,7 @@
 //! construction).
 
 use crate::rules::Finding;
+use greednet_telemetry::json_string as json_str;
 use std::fmt::Write as _;
 
 /// The outcome of analyzing a workspace.
@@ -193,27 +194,6 @@ fn digits(mut n: u32) -> usize {
         d += 1;
     }
     d
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

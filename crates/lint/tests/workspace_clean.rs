@@ -106,6 +106,34 @@ fn gn09_allow_budget_is_at_most_four() {
 }
 
 #[test]
+fn reports_are_byte_identical_at_1_4_8_threads() {
+    // The sharded per-file pass merges in task-index order, so the JSON
+    // and SARIF reports on the real workspace must not depend on the
+    // thread count.
+    let root = workspace_root();
+    let reports = |threads| {
+        let analysis = greednet_lint::analyze_with(
+            &root,
+            &greednet_lint::AnalyzeOptions {
+                threads,
+                changed: None,
+            },
+        )
+        .expect("workspace analyzable");
+        (analysis.json(), analysis.sarif())
+    };
+    let (json_1, sarif_1) = reports(1);
+    for threads in [4, 8] {
+        let (json, sarif) = reports(threads);
+        assert!(json == json_1, "JSON report at {threads} threads differs");
+        assert!(
+            sarif == sarif_1,
+            "SARIF report at {threads} threads differs"
+        );
+    }
+}
+
+#[test]
 fn cargo_run_json_exits_zero_on_the_workspace() {
     let root = workspace_root();
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());

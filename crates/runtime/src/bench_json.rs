@@ -1,19 +1,18 @@
-//! Shared builder for the checked-in `BENCH_*.json` perf baselines.
+//! JSON report builder for the benchmark under `perf/`.
 //!
-//! `des-bench`, `serve-bench`, and `largen-bench` all emit a small
-//! pretty-printed JSON report (insertion-ordered keys, two-space
-//! indentation, fixed-decimal rates) and optionally write it next to the
-//! workspace root. Before this module each binary hand-rolled the same
-//! `String` assembly; now they share one builder so the baseline format
-//! stays uniform across areas.
+//! The benchmark emits small pretty-printed JSON reports
+//! (insertion-ordered keys, two-space indentation) for its result lines,
+//! per-layer metrics and traced spans.
 //!
 //! The builder is deliberately tiny: insertion-ordered `(key, value)`
-//! pairs, integer / fixed-decimal / shortest-float / string / nested
-//! object values, and an [`BenchJson::emit`] helper with the common
-//! "print to stdout, optionally write `--out` path, note it on stderr"
-//! contract. Non-finite floats render as `null` so a degenerate run can
-//! never produce an unparseable baseline.
+//! pairs, integer / shortest-float / string / bool / nested object
+//! values, and an [`BenchJson::emit`] helper with the "print to stdout,
+//! optionally write `--out` path, note it on stderr" contract. Strings go
+//! through the workspace's one escaper
+//! ([`greednet_telemetry::push_json_string`]), and non-finite floats
+//! render as `null`, so a report is always valid JSON.
 
+use greednet_telemetry::push_json_string;
 use std::fmt::Write as _;
 
 /// One value in a bench report.
@@ -23,9 +22,7 @@ enum Value {
     UInt(u64),
     /// Float rendered via `Display` (shortest form, e.g. `200000`).
     Num(f64),
-    /// Float rendered with a fixed number of decimals.
-    Fixed { value: f64, decimals: usize },
-    /// JSON string (escaped minimally: backslash and quote).
+    /// JSON string.
     Str(String),
     /// Bare boolean.
     Bool(bool),
@@ -33,7 +30,7 @@ enum Value {
     Obj(BenchJson),
 }
 
-/// Insertion-ordered JSON object builder for `BENCH_*.json` baselines.
+/// Insertion-ordered JSON object builder for benchmark reports.
 #[derive(Debug, Clone, Default)]
 pub struct BenchJson {
     entries: Vec<(String, Value)>,
@@ -55,13 +52,6 @@ impl BenchJson {
     /// Adds a float field rendered via `Display` (shortest form).
     pub fn num(&mut self, key: impl Into<String>, value: f64) -> &mut BenchJson {
         self.entries.push((key.into(), Value::Num(value)));
-        self
-    }
-
-    /// Adds a float field rendered with `decimals` fractional digits.
-    pub fn fixed(&mut self, key: impl Into<String>, value: f64, decimals: usize) -> &mut BenchJson {
-        self.entries
-            .push((key.into(), Value::Fixed { value, decimals }));
         self
     }
 
@@ -98,18 +88,19 @@ impl BenchJson {
         for (i, (key, value)) in self.entries.iter().enumerate() {
             let sep = if i + 1 == self.entries.len() { "" } else { "," };
             out.push_str(&pad);
+            push_json_string(out, key);
+            out.push_str(": ");
             // String-formatting into a String cannot fail; the fmt::Write
             // signature is an artifact of the trait.
-            let _ = write!(out, "\"{}\": ", escape(key));
             match value {
                 Value::UInt(v) => {
                     let _ = write!(out, "{v}");
                 }
-                Value::Num(v) => push_f64(out, *v, None),
-                Value::Fixed { value, decimals } => push_f64(out, *value, Some(*decimals)),
-                Value::Str(v) => {
-                    let _ = write!(out, "\"{}\"", escape(v));
+                Value::Num(v) if v.is_finite() => {
+                    let _ = write!(out, "{v}");
                 }
+                Value::Num(_) => out.push_str("null"),
+                Value::Str(v) => push_json_string(out, v),
                 Value::Bool(v) => {
                     let _ = write!(out, "{v}");
                 }
@@ -123,8 +114,7 @@ impl BenchJson {
     }
 
     /// Prints the report to stdout and, if `out` names a path, writes it
-    /// there too (noting the write on stderr) — the shared contract of
-    /// every `*-bench` binary.
+    /// there too (noting the write on stderr).
     ///
     /// # Errors
     /// Returns a human-readable message if the file write fails.
@@ -139,25 +129,6 @@ impl BenchJson {
     }
 }
 
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn push_f64(out: &mut String, value: f64, decimals: Option<usize>) {
-    if !value.is_finite() {
-        out.push_str("null");
-        return;
-    }
-    match decimals {
-        Some(d) => {
-            let _ = write!(out, "{value:.d$}");
-        }
-        None => {
-            let _ = write!(out, "{value}");
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,7 +136,7 @@ mod tests {
     #[test]
     fn renders_nested_objects_in_insertion_order() {
         let mut inner = BenchJson::new();
-        inner.uint("events", 12).fixed("elapsed_s", 0.5, 3);
+        inner.uint("events", 12).num("elapsed_s", 0.5);
         let mut report = BenchJson::new();
         report.num("horizon", 200_000.0);
         report.uint("seed", 1);
@@ -176,7 +147,7 @@ mod tests {
         assert_eq!(
             text,
             "{\n  \"horizon\": 200000,\n  \"seed\": 1,\n  \"workloads\": {\n    \
-             \"open_loop\": {\n      \"events\": 12,\n      \"elapsed_s\": 0.500\n    }\n  }\n}\n"
+             \"open_loop\": {\n      \"events\": 12,\n      \"elapsed_s\": 0.5\n    }\n  }\n}\n"
         );
     }
 
@@ -184,7 +155,7 @@ mod tests {
     fn non_finite_floats_render_as_null() {
         let mut report = BenchJson::new();
         report.num("rate", f64::INFINITY);
-        report.fixed("nanned", f64::NAN, 2);
+        report.num("nanned", f64::NAN);
         assert_eq!(
             report.render(),
             "{\n  \"rate\": null,\n  \"nanned\": null\n}\n"
@@ -196,5 +167,12 @@ mod tests {
         let mut report = BenchJson::new();
         report.str("name", "a\"b\\c");
         assert_eq!(report.render(), "{\n  \"name\": \"a\\\"b\\\\c\"\n}\n");
+    }
+
+    #[test]
+    fn control_characters_in_strings_are_escaped() {
+        let mut report = BenchJson::new();
+        report.str("k", "a\nb");
+        assert_eq!(report.render(), "{\n  \"k\": \"a\\nb\"\n}\n");
     }
 }

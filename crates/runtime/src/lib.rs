@@ -19,7 +19,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod bench_diff;
 pub mod bench_json;
 pub mod experiment;
 pub mod pool;

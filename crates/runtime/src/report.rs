@@ -8,7 +8,7 @@
 
 use std::fmt::Write as _;
 
-use greednet_telemetry::Telemetry;
+use greednet_telemetry::{json_string, Telemetry};
 
 /// One table cell. Numeric cells carry both the value (emitted to JSON)
 /// and the display text (emitted to text/CSV), so experiments keep full
@@ -567,27 +567,6 @@ impl RunReport {
         }
         out
     }
-}
-
-/// Escapes `s` as a JSON string literal (with quotes).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if u32::from(c) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", u32::from(c));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Renders an `f64` as a JSON value (`null` for non-finite values).

@@ -17,7 +17,7 @@
 //! canonicalizer re-sorts keys itself.
 
 use crate::error::ServeError;
-use std::fmt::Write as _;
+use greednet_telemetry::push_json_string;
 
 /// Maximum nesting depth the parser accepts.
 const MAX_DEPTH: u32 = 64;
@@ -111,7 +111,7 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(x) => out.push_str(&write_f64(*x)),
-            Json::Str(s) => write_json_string(s, out),
+            Json::Str(s) => push_json_string(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -128,7 +128,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_json_string(k, out);
+                    push_json_string(out, k);
                     out.push(':');
                     v.write_compact(out);
                 }
@@ -154,25 +154,6 @@ pub fn write_f64(x: f64) -> String {
     } else {
         "null".to_string()
     }
-}
-
-/// Escapes `s` into `out` as a JSON string literal (with quotes).
-fn write_json_string(s: &str, out: &mut String) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if u32::from(c) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", u32::from(c));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Parses one JSON document; trailing content other than whitespace is an

@@ -25,16 +25,21 @@
 //!    non-deterministic and must stay **out** of any deterministic report
 //!    payload; `Telemetry` exists precisely so runners can carry it
 //!    alongside (not inside) their reproducible output.
+//!
+//! [`json`] holds the one JSON string escaper every report writer in the
+//! workspace shares.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
+pub mod json;
 pub mod metrics;
 pub mod probe;
 pub mod profile;
 pub mod trace;
 
+pub use json::{json_string, push_json_string};
 pub use metrics::{Counter, Gauge, Log2Histogram, MetricsProbe, SimMetrics};
 pub use probe::{
     CalendarEvent, CalendarEventKind, NoopProbe, PacketEvent, PacketEventKind, Probe, SolverEvent,
