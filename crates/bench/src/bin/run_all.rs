@@ -9,6 +9,10 @@ use greednet_bench::exp_cli::ExpArgs;
 use greednet_bench::experiments::registry;
 use std::time::Instant;
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "progress timings go to stderr, never into the report"
+)]
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = match ExpArgs::parse(&argv) {

@@ -114,7 +114,7 @@ mod tests {
         let reg = registry();
         assert_eq!(reg.len(), 20);
         let ids = reg.ids();
-        let unique: std::collections::HashSet<_> = ids.iter().collect();
+        let unique: std::collections::BTreeSet<_> = ids.iter().collect();
         assert_eq!(unique.len(), ids.len(), "ids must be unique");
         for id in ["t1", "e1", "e9", "e10a", "e10b", "e15", "e16", "e17", "e18"] {
             assert!(reg.get(id).is_some(), "missing {id}");

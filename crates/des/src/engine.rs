@@ -403,9 +403,12 @@ impl Engine {
     /// calendar command. Extracted verbatim from the `run_probed` loop —
     /// `tests/engine_equivalence.rs` pins the motion bitwise. Returns
     /// `false` only on the unreachable empty-calendar guard, which ends
-    /// the run (GN03: keep the loop total without panicking).
+    /// the run (keeps the loop total without panicking).
     // gn:hot(amortized)
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the main loop's disjoint mutable state, borrowed separately"
+    )]
     fn dispatch<P: Probe>(
         &self,
         (t_done, t_cal, done_idx): (f64, f64, usize),
@@ -545,7 +548,10 @@ impl Engine {
 
 /// Injects packets for a closed-loop source until its window is full.
 // gn:hot(amortized)
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the main loop's disjoint mutable state, borrowed separately"
+)]
 fn fill_window<P: Probe>(
     c: &mut ClosedLoopSource,
     source: usize,

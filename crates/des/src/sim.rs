@@ -657,9 +657,9 @@ mod tests {
         let r = run(&[rho], 200_000.0, 13, &mut Fifo);
         let mass: f64 = r.total_queue_dist.iter().sum();
         assert!((mass - 1.0).abs() < 1e-9, "mass {mass}");
-        for k in 0..8usize {
-            let expect = (1.0 - rho) * rho.powi(k as i32);
-            let got = r.total_queue_dist[k];
+        for k in 0..8u8 {
+            let expect = (1.0 - rho) * rho.powi(i32::from(k));
+            let got = r.total_queue_dist[usize::from(k)];
             assert!(
                 (got - expect).abs() < 0.015,
                 "P(N={k}) = {got} vs geometric {expect}"

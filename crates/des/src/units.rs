@@ -26,6 +26,12 @@
 //!
 //! [`raw`]: SimTime::raw
 //! [`get`]: SimTime::get
+// `#[derive(PartialOrd)]` expands to `partial_cmp` calls, and an
+// item-level `#[expect]` does not reach derive output.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "derived PartialOrd on the f64 newtypes; ordered containers use total_cmp of get()"
+)]
 
 use crate::error::DesError;
 use crate::Result;

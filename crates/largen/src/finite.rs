@@ -76,7 +76,10 @@ pub fn solve_finite(
 ///
 /// Returns [`LargenError`] when the classes/options fail validation or
 /// `n == 0`.
-#[allow(clippy::too_many_lines)]
+#[expect(
+    clippy::too_many_lines,
+    reason = "one solve: setup, the damped sweep loop and finalize share buffers and controller state"
+)]
 pub fn solve_finite_probed<P: Probe>(
     disc: LargenDiscipline,
     classes: &[ClassSpec],

@@ -774,7 +774,6 @@ mod tests {
                 crate_name: "des".into(),
                 rel_path: "crates/des/src/fixture.rs".into(),
                 kind: FileKind::Lib,
-                is_crate_root: false,
             },
             src,
         )

@@ -1,28 +1,21 @@
-//! The intra-workspace call graph and GN06 panic-reachability.
+//! The shared view of one source file and the call-site scan behind the
+//! intra-workspace call graph.
 //!
-//! Built on [`crate::parse`]'s item trees: every `fn` in library code
-//! becomes a node; a call edge is added wherever a body mentions a
-//! callable name that resolves to a workspace fn. Resolution is
+//! [`SourceFile`] bundles a file's lexed tokens with [`crate::parse`]'s
+//! item tree and [`crate::types`]' struct/enum items. `find_calls` and
+//! `import_scope` are the two halves of name resolution that GN10
+//! ([`crate::hot`]) builds its graph from. Resolution is
 //! *over-approximate by contract* (DESIGN.md §7): free and path calls
 //! bind to every same-crate fn of that name plus, through the file's
 //! `use greednet_*` imports, every fn of that name in an imported
 //! first-party crate; method calls bind to every `impl`-block fn of that
 //! name in the same scope set. Shadowing, generics, and trait dispatch
-//! are ignored — extra edges only make GN06 stricter, never unsound.
-//!
-//! GN06 then asks: can a `pub` (or trait-impl, hence externally
-//! reachable) library fn reach a panicking construct — `.unwrap()`,
-//! `.expect(`, `panic!`, `todo!`, `unimplemented!`, `unreachable!` —
-//! through the closure of those edges, including through private
-//! helpers? Panic sites inside `#[cfg(test)]` regions are ignored, and a
-//! site carrying a `GN03` allow annotation is excluded too: the
-//! annotation's proven invariant covers every caller, so re-flagging the
-//! callers would demand duplicate allows for one audited site.
+//! are ignored — extra edges only make a reachability rule stricter,
+//! never unsound.
 
 use crate::lexer::{LexedFile, Token};
 use crate::parse::ParsedFile;
-use crate::rules::{FileContext, FileKind, Finding, GN03_EXEMPT_CRATES};
-use std::collections::{BTreeMap, VecDeque};
+use crate::rules::FileContext;
 
 /// One fully lexed+parsed source file, ready for graph construction.
 #[derive(Debug)]
@@ -50,137 +43,6 @@ impl SourceFile {
     }
 }
 
-/// A panicking construct found in a fn body.
-#[derive(Debug, Clone)]
-struct PanicSite {
-    /// Display form: `.unwrap()` or `panic!`.
-    desc: String,
-    line: u32,
-}
-
-/// One call-graph node: a library `fn`.
-struct Node {
-    file: usize,
-    /// Index into the file's `parsed.fns`.
-    item: usize,
-    /// First panicking construct in the body, if any.
-    panic: Option<PanicSite>,
-    /// Outgoing call edges (node indices), deduplicated, in order.
-    edges: Vec<usize>,
-}
-
-const PANIC_METHODS: &[&str] = &["unwrap", "expect"];
-const PANIC_MACROS: &[&str] = &["panic", "todo", "unimplemented", "unreachable"];
-
-/// Runs GN06 over the given file set and returns its findings
-/// (suppressions for allow annotations on the entry fn's line already
-/// applied).
-pub fn gn06(files: &[SourceFile]) -> Vec<Finding> {
-    let nodes = build_graph(files);
-    let mut findings = Vec::new();
-    for (id, node) in nodes.iter().enumerate() {
-        let sf = &files[node.file];
-        let item = &sf.parsed.fns[node.item];
-        if !(item.is_pub || item.in_trait_impl) {
-            continue;
-        }
-        let Some((path, site)) = shortest_panic_path(&nodes, id) else {
-            continue;
-        };
-        let chain: Vec<String> = path
-            .iter()
-            .map(|&n| files[nodes[n].file].parsed.fns[nodes[n].item].name.clone())
-            .collect();
-        // The path always ends at the panicking node; fall back to the
-        // entry itself rather than panic inside the panic-checker.
-        let site_file = &files[nodes[path.last().copied().unwrap_or(id)].file]
-            .ctx
-            .rel_path;
-        let suppressed = sf
-            .lexed
-            .suppressions
-            .iter()
-            .find(|s| s.rule == "GN06" && s.target_line == item.line)
-            .map(|s| s.reason.clone());
-        findings.push(Finding {
-            rule: "GN06",
-            file: sf.ctx.rel_path.clone(),
-            line: item.line,
-            message: format!(
-                "pub fn `{}` can panic: {} → {} ({}:{}); make the chain return \
-                 a Result or annotate the proven invariant",
-                item.name,
-                chain.join(" → "),
-                site.desc,
-                site_file,
-                site.line
-            ),
-            suppressed,
-        });
-    }
-    findings
-}
-
-/// Builds the node list and edge set for the library fns in `files`.
-fn build_graph(files: &[SourceFile]) -> Vec<Node> {
-    let mut nodes = Vec::new();
-    // (crate, fn name) -> node ids, plus the impl-only subset for method
-    // resolution.
-    let mut by_name: BTreeMap<(&str, &str), Vec<usize>> = BTreeMap::new();
-    let mut methods: BTreeMap<(&str, &str), Vec<usize>> = BTreeMap::new();
-    for (fi, sf) in files.iter().enumerate() {
-        if sf.ctx.kind != FileKind::Lib || GN03_EXEMPT_CRATES.contains(&sf.ctx.crate_name.as_str())
-        {
-            continue;
-        }
-        for (ii, item) in sf.parsed.fns.iter().enumerate() {
-            if item.in_test {
-                continue;
-            }
-            let id = nodes.len();
-            nodes.push(Node {
-                file: fi,
-                item: ii,
-                panic: find_panic_site(&sf.lexed, item.body),
-                edges: Vec::new(),
-            });
-            by_name
-                .entry((sf.ctx.crate_name.as_str(), item.name.as_str()))
-                .or_default()
-                .push(id);
-            if item.in_impl {
-                methods
-                    .entry((sf.ctx.crate_name.as_str(), item.name.as_str()))
-                    .or_default()
-                    .push(id);
-            }
-        }
-    }
-    for id in 0..nodes.len() {
-        let sf = &files[nodes[id].file];
-        let scope = import_scope(sf);
-        let item = &sf.parsed.fns[nodes[id].item];
-        let mut edges = Vec::new();
-        for call in find_calls(&sf.lexed.tokens, item.body) {
-            let (name, index) = match &call {
-                Call::Free(n) | Call::Path { name: n, .. } => (n.as_str(), &by_name),
-                Call::Method(n) => (n.as_str(), &methods),
-            };
-            for &krate in &scope {
-                if let Some(targets) = index.get(&(krate, name)) {
-                    for &t in targets {
-                        if t != id && !edges.contains(&t) {
-                            edges.push(t);
-                        }
-                    }
-                }
-            }
-        }
-        nodes[id].edges = edges;
-    }
-    nodes
-}
-
 /// The crates a name in a file may resolve into: the file's own crate,
 /// plus every first-party crate the file imports.
 pub(crate) fn import_scope(sf: &SourceFile) -> Vec<&str> {
@@ -203,53 +65,14 @@ pub(crate) fn import_scope(sf: &SourceFile) -> Vec<&str> {
     scope
 }
 
-/// First panicking construct in the token range, skipping test regions
-/// and GN03-allowed sites (the allow's invariant proof covers callers).
-fn find_panic_site(lexed: &LexedFile, body: (usize, usize)) -> Option<PanicSite> {
-    let tokens = &lexed.tokens;
-    for i in body.0..body.1 {
-        let Some(name) = tokens[i].ident() else {
-            continue;
-        };
-        let line = tokens[i].line;
-        if lexed.in_test_code(line) || gn03_allowed(lexed, line) {
-            continue;
-        }
-        if PANIC_METHODS.contains(&name)
-            && i > 0
-            && tokens[i - 1].is_punct('.')
-            && tokens.get(i + 1).is_some_and(|t| t.is_punct('('))
-        {
-            return Some(PanicSite {
-                desc: format!(".{name}()"),
-                line,
-            });
-        }
-        if PANIC_MACROS.contains(&name) && tokens.get(i + 1).is_some_and(|t| t.is_punct('!')) {
-            return Some(PanicSite {
-                desc: format!("{name}!"),
-                line,
-            });
-        }
-    }
-    None
-}
-
-fn gn03_allowed(lexed: &LexedFile, line: u32) -> bool {
-    lexed
-        .suppressions
-        .iter()
-        .any(|s| s.rule == "GN03" && s.target_line == line)
-}
-
 /// A callable mention inside a fn body.
 pub(crate) enum Call {
     /// Bare `name(` call.
     Free(String),
     /// Last segment of a `path::name(` call, with the segment before it
-    /// (when syntactically adjacent): `u64` for `u64::from(b)`. GN06
-    /// binds by name alone; GN10 uses the qualifier to skip primitive
-    /// conversions that can never resolve to workspace code.
+    /// (when syntactically adjacent): `u64` for `u64::from(b)`. GN10 uses
+    /// the qualifier to skip primitive conversions that can never resolve
+    /// to workspace code.
     Path {
         name: String,
         qualifier: Option<String>,
@@ -276,7 +99,9 @@ pub(crate) fn find_calls(tokens: &[Token], body: (usize, usize)) -> Vec<Call> {
         }
         let prev = i.checked_sub(1).map(|p| &tokens[p]);
         if prev.is_some_and(|t| t.is_punct('.')) {
-            if !PANIC_METHODS.contains(&name) {
+            // `.unwrap()`/`.expect()` are Option/Result methods, never
+            // workspace code.
+            if !matches!(name, "unwrap" | "expect") {
                 out.push(Call::Method(name.to_string()));
             }
         } else if prev.is_some_and(|t| t.is_punct(':')) {
@@ -294,167 +119,4 @@ pub(crate) fn find_calls(tokens: &[Token], body: (usize, usize)) -> Vec<Call> {
         }
     }
     out
-}
-
-/// BFS from `start`; returns the node path to the nearest panic site and
-/// that site, if one is reachable (the start node itself counts).
-fn shortest_panic_path(nodes: &[Node], start: usize) -> Option<(Vec<usize>, PanicSite)> {
-    let mut parent: BTreeMap<usize, usize> = BTreeMap::new();
-    let mut queue = VecDeque::from([start]);
-    parent.insert(start, start);
-    while let Some(n) = queue.pop_front() {
-        if let Some(site) = &nodes[n].panic {
-            let mut path = vec![n];
-            let mut cur = n;
-            while parent[&cur] != cur {
-                cur = parent[&cur];
-                path.push(cur);
-            }
-            path.reverse();
-            return Some((path, site.clone()));
-        }
-        for &next in &nodes[n].edges {
-            if let std::collections::btree_map::Entry::Vacant(e) = parent.entry(next) {
-                e.insert(n);
-                queue.push_back(next);
-            }
-        }
-    }
-    None
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn lib_ctx(krate: &str, rel: &str) -> FileContext {
-        FileContext {
-            crate_name: krate.into(),
-            rel_path: rel.into(),
-            kind: FileKind::Lib,
-            is_crate_root: false,
-        }
-    }
-
-    fn live(findings: &[Finding]) -> Vec<&Finding> {
-        findings.iter().filter(|f| f.suppressed.is_none()).collect()
-    }
-
-    #[test]
-    fn direct_panic_in_pub_fn_is_flagged() {
-        let files = [SourceFile::new(
-            lib_ctx("core", "crates/core/src/a.rs"),
-            "pub fn boom(x: Option<u32>) -> u32 { x.unwrap() }\n",
-        )];
-        let f = gn06(&files);
-        assert_eq!(live(&f).len(), 1);
-        assert!(
-            f[0].message.contains("boom → .unwrap()"),
-            "{}",
-            f[0].message
-        );
-        assert!(f[0].message.contains("crates/core/src/a.rs:1"));
-    }
-
-    #[test]
-    fn panic_through_private_helper_chain_is_flagged_with_path() {
-        let src = "pub fn solve() { inner_step(); }\nfn inner_step() { leaf(); }\nfn leaf() { todo!() }\n";
-        let files = [SourceFile::new(
-            lib_ctx("core", "crates/core/src/a.rs"),
-            src,
-        )];
-        let f = gn06(&files);
-        let lines: Vec<u32> = live(&f).iter().map(|f| f.line).collect();
-        assert_eq!(lines, vec![1], "private fns are not entry points: {f:?}");
-        assert!(
-            f[0].message.contains("solve → inner_step → leaf → todo!"),
-            "{}",
-            f[0].message
-        );
-    }
-
-    #[test]
-    fn cross_file_and_cross_crate_edges_resolve_via_uses() {
-        let files = [
-            SourceFile::new(
-                lib_ctx("runtime", "crates/runtime/src/a.rs"),
-                "use greednet_core::helper;\npub fn entry() { helper(); }\n",
-            ),
-            SourceFile::new(
-                lib_ctx("core", "crates/core/src/b.rs"),
-                "pub(crate) fn helper() { panic!(\"x\") }\n",
-            ),
-        ];
-        let f = gn06(&files);
-        // Both the cross-crate entry and the pub(crate) helper are flagged.
-        let spans: Vec<(&str, u32)> = live(&f).iter().map(|f| (f.file.as_str(), f.line)).collect();
-        assert!(spans.contains(&("crates/runtime/src/a.rs", 2)), "{f:?}");
-        assert!(
-            f[0].message.contains("entry → helper → panic!"),
-            "{}",
-            f[0].message
-        );
-    }
-
-    #[test]
-    fn gn03_allowed_sites_do_not_propagate() {
-        let src = "pub fn entry() -> u32 {\n    // greednet-lint: allow(GN03, reason = \"slot is always filled by construction\")\n    slot().unwrap()\n}\nfn slot() -> Option<u32> { Some(1) }\n";
-        let files = [SourceFile::new(
-            lib_ctx("core", "crates/core/src/a.rs"),
-            src,
-        )];
-        assert!(live(&gn06(&files)).is_empty());
-    }
-
-    #[test]
-    fn test_code_and_private_fns_are_not_entries() {
-        let src = "fn private_boom() { panic!(\"x\") }\n#[cfg(test)]\nmod tests {\n    pub fn t() { private_boom(); }\n}\n";
-        let files = [SourceFile::new(
-            lib_ctx("core", "crates/core/src/a.rs"),
-            src,
-        )];
-        assert!(live(&gn06(&files)).is_empty());
-    }
-
-    #[test]
-    fn allow_on_entry_fn_suppresses_with_reason() {
-        let src = "// greednet-lint: allow(GN06, reason = \"caller contract: input is non-empty\")\npub fn entry(x: Option<u32>) -> u32 { x.unwrap() }\n";
-        let files = [SourceFile::new(
-            lib_ctx("core", "crates/core/src/a.rs"),
-            src,
-        )];
-        let f = gn06(&files);
-        assert_eq!(f.len(), 1);
-        assert!(live(&f).is_empty());
-        assert_eq!(
-            f[0].suppressed.as_deref(),
-            Some("caller contract: input is non-empty")
-        );
-    }
-
-    #[test]
-    fn bench_crate_and_non_lib_files_are_excluded() {
-        let mut test_ctx = lib_ctx("core", "crates/core/tests/t.rs");
-        test_ctx.kind = FileKind::Test;
-        let files = [
-            SourceFile::new(
-                lib_ctx("bench", "crates/bench/src/e1.rs"),
-                "pub fn run() { x.unwrap(); }\n",
-            ),
-            SourceFile::new(test_ctx, "pub fn t() { x.unwrap(); }\n"),
-        ];
-        assert!(gn06(&files).is_empty());
-    }
-
-    #[test]
-    fn trait_impl_fns_are_entry_points() {
-        let src = "struct S;\nimpl std::ops::Drop for S {\n    fn drop(&mut self) { cleanup(); }\n}\nfn cleanup() { unreachable!() }\n";
-        let files = [SourceFile::new(
-            lib_ctx("core", "crates/core/src/a.rs"),
-            src,
-        )];
-        let f = gn06(&files);
-        assert_eq!(live(&f).len(), 1);
-        assert!(f[0].message.contains("drop → cleanup → unreachable!"));
-    }
 }

@@ -3,7 +3,7 @@
 //! A function becomes *hot* by carrying a `// gn:hot` /
 //! `// gn:hot(amortized)` annotation (attached to the next `fn` item, or
 //! the item on the same line for trailing comments), or by appearing in
-//! the [`HOT_PATHS`] table below, which pins the paths the perf roadmap
+//! the `HOT_PATHS` table below, which pins the paths the perf roadmap
 //! depends on independently of what the source currently claims. A hot
 //! fn must not *reach* an allocating construct through the intra-
 //! workspace call graph — not just avoid allocating directly.
@@ -29,7 +29,7 @@
 //! unenforceable and are reported as findings rather than silently
 //! ignored — same for `HOT_PATHS` entries that no longer match any fn
 //! after a rename. Diagnostics show the BFS shortest path from the hot
-//! entry to the offending construct, GN06-style.
+//! entry to the offending construct.
 
 use crate::graph::{find_calls, import_scope, Call, SourceFile};
 use crate::lexer::{HotMode, LexedFile};
@@ -455,7 +455,6 @@ mod tests {
             crate_name: krate.into(),
             rel_path: rel.into(),
             kind: FileKind::Lib,
-            is_crate_root: false,
         }
     }
 

@@ -1,11 +1,11 @@
 //! A hand-rolled lexer for the subset of Rust the analyzer needs.
 //!
 //! The build container has no crates.io access, so `syn` is off the
-//! table. Fortunately the rules in [`crate::rules`] only need a *token
-//! soup* with three guarantees:
+//! table. Fortunately the rules only need a *token soup* (plus the item
+//! and type layers built on it) with three guarantees:
 //!
 //! 1. comments, string literals, char literals, and raw strings never
-//!    leak tokens (so `"HashMap"` in a doc string cannot fire GN01);
+//!    leak tokens (so `"let _ = f()"` in a doc string cannot fire GN08);
 //! 2. every token carries its 1-based source line (findings are spans);
 //! 3. `// greednet-lint: allow(RULE, reason = "...")` annotations inside
 //!    comments are captured, with the code line they suppress resolved.
@@ -53,7 +53,7 @@ impl Token {
 /// A `greednet-lint: allow(...)` annotation found in a comment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Suppression {
-    /// Rule id being suppressed, e.g. `"GN01"`.
+    /// Rule id being suppressed, e.g. `"GN08"`.
     pub rule: String,
     /// The mandatory free-text justification.
     pub reason: String,
@@ -658,7 +658,7 @@ fn next_code_line(tokens: &[Token], line: u32) -> Option<u32> {
     tokens.iter().map(|t| t.line).find(|&l| l > line)
 }
 
-/// Parses `allow(GN01, reason = "...")`. Returns `(rule, reason)` pairs
+/// Parses `allow(GN08, reason = "...")`. Returns `(rule, reason)` pairs
 /// (the grammar admits a single rule per annotation; a file may stack
 /// several annotation lines).
 fn parse_allow(s: &str) -> Result<Vec<(String, String)>, String> {
@@ -751,18 +751,19 @@ let c = 'H';
 
     #[test]
     fn trailing_annotation_targets_its_own_line() {
-        let src = "let m = HashMap::new(); // greednet-lint: allow(GN01, reason = \"frozen before iteration\")\n";
+        let src =
+            "let _ = sink.flush(); // greednet-lint: allow(GN08, reason = \"best-effort flush\")\n";
         let lexed = lex(src);
         assert_eq!(lexed.suppressions.len(), 1);
         let s = &lexed.suppressions[0];
-        assert_eq!(s.rule, "GN01");
+        assert_eq!(s.rule, "GN08");
         assert_eq!(s.target_line, 1);
-        assert_eq!(s.reason, "frozen before iteration");
+        assert_eq!(s.reason, "best-effort flush");
     }
 
     #[test]
     fn standalone_annotation_targets_next_code_line() {
-        let src = "\n// greednet-lint: allow(GN03, reason = \"invariant: pool fills every slot\")\nslot.expect(\"filled\");\n";
+        let src = "\n// greednet-lint: allow(GN10, reason = \"startup-only: arena warms before the loop\")\nfn warm() {}\n";
         let lexed = lex(src);
         assert_eq!(lexed.suppressions.len(), 1);
         assert_eq!(lexed.suppressions[0].target_line, 3);
@@ -770,14 +771,14 @@ let c = 'H';
 
     #[test]
     fn annotation_without_reason_is_malformed() {
-        let lexed = lex("// greednet-lint: allow(GN01)\nlet x = 1;\n");
+        let lexed = lex("// greednet-lint: allow(GN08)\nlet x = 1;\n");
         assert!(lexed.suppressions.is_empty());
         assert_eq!(lexed.malformed.len(), 1);
     }
 
     #[test]
     fn annotation_with_empty_reason_is_malformed() {
-        let lexed = lex("// greednet-lint: allow(GN02, reason = \"\")\nlet x = 1;\n");
+        let lexed = lex("// greednet-lint: allow(GN08, reason = \"\")\nlet x = 1;\n");
         assert!(lexed.suppressions.is_empty());
         assert_eq!(lexed.malformed.len(), 1);
     }

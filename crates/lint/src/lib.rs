@@ -3,19 +3,24 @@
 //! PR 2 and PR 3 made *bitwise determinism at any thread count* a
 //! headline guarantee: the paper's closed-form allocations are validated
 //! against simulated replications, so any nondeterminism silently
-//! corrupts the paper-vs-measured tables. This crate turns that (and two
-//! sibling guarantees: panic-freedom on library paths, unsafe-freedom
-//! everywhere) from reviewer vigilance into machine-checked invariants.
+//! corrupts the paper-vs-measured tables. Whatever rustc and clippy can
+//! check (hash containers, wall clock, panics, `partial_cmp`, lossy
+//! casts, `unsafe`) is configured in the root `clippy.toml`, the
+//! `[workspace.lints]` table and each library crate root. This crate
+//! machine-checks the rest: invariants that need the workspace's own
+//! vocabulary (hot paths, RNG splits, merged reductions, typed units,
+//! cache keys, telemetry probes).
 //!
 //! The analyzer is **dependency-free**: the build container has no
 //! crates.io access, so it hand-rolls a small Rust lexer
-//! ([`lexer`]) instead of using `syn`. Most rules ([`rules`]) only need
-//! comment/string-stripped tokens with line numbers, which the lexer
-//! guarantees; on top of the token stream an item parser ([`parse`])
-//! recovers each file's `fn` items and `use` declarations, a
+//! ([`lexer`]) instead of using `syn`. The per-file rule ([`rules`])
+//! only needs comment/string-stripped tokens with line numbers, which
+//! the lexer guarantees; on top of the token stream an item parser
+//! ([`parse`]) recovers each file's `fn` items and `use` declarations, a
 //! deliberately over-approximate intra-workspace call graph ([`graph`])
-//! drives the panic-reachability rule GN06, and a type layer ([`types`])
-//! recovers `struct`/`enum` shapes for the type-aware rules
+//! drives the hot-path rule GN10 ([`hot`]), an expression layer
+//! ([`expr`]) drives the dataflow rules GN11/GN12, and a type layer
+//! ([`types`]) recovers `struct`/`enum` shapes for the type-aware rules
 //! ([`typerules`]): unit-escape (GN13), cache-key completeness (GN14),
 //! and probe isolation (GN15).
 //!
@@ -27,7 +32,7 @@
 //! Rules are individually suppressible at a site with
 //!
 //! ```text
-//! // greednet-lint: allow(GN01, reason = "keys are sorted before iteration")
+//! // greednet-lint: allow(GN08, reason = "best-effort flush; losing it must never fail a run")
 //! ```
 //!
 //! on (or immediately above) the offending line; the reason is
@@ -40,6 +45,9 @@
 //! I/O errors.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
 pub mod expr;
 pub mod graph;

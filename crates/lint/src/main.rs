@@ -68,7 +68,7 @@ fn main() -> ExitCode {
                 }
             },
             "--list-rules" => {
-                // Diagnostics first (GN00 sorts before GN01), then rules,
+                // Diagnostics first (GN00 sorts before every rule), then rules,
                 // so the listing stays in id order.
                 for r in greednet_lint::rules::DIAGNOSTICS {
                     println!("{}  {}", r.id, r.summary);
@@ -83,7 +83,9 @@ fn main() -> ExitCode {
                     "greednet-lint [--root PATH] [--format human|json|sarif] [--threads N] \
                      [--changed GIT_REF] [--list-rules]"
                 );
-                println!("Enforces the greednet workspace invariants GN01-GN15; see LINTS.md.");
+                println!(
+                    "Enforces the greednet workspace invariants GN08 and GN10-GN15; see LINTS.md."
+                );
                 return ExitCode::SUCCESS;
             }
             other => {

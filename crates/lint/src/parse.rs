@@ -2,20 +2,19 @@
 //!
 //! The lexer gives a comment/string-stripped token soup; this layer
 //! recovers the *item structure* the semantic rules need: which `fn`
-//! items exist (name, visibility, whether they sit inside a trait
-//! `impl`, whether they are test-only), the token span of each body, and
-//! which `use` declarations the file carries. It is deliberately **not**
-//! a full Rust parser — the grammar subset below is exactly what the
-//! call-graph layer ([`crate::graph`]) consumes, and every shortcut errs
-//! toward *over*-approximation (more items, more edges) so the analysis
-//! never silently loses a panic path. See DESIGN.md §7 for the contract.
+//! items exist (name, enclosing `impl` type, whether they are
+//! test-only), the token span of each body, and which `use` declarations
+//! the file carries. It is deliberately **not** a full Rust parser — the
+//! grammar subset below is exactly what the call-graph layer
+//! ([`crate::graph`]) and the dataflow rules consume, and every shortcut
+//! errs toward *over*-approximation (more items, more edges) so the
+//! analysis never silently loses a path. See DESIGN.md §7 for the
+//! contract.
 //!
 //! Shortcuts worth knowing:
 //! * bodies are found by scanning from the `fn` keyword to the first
 //!   `{` outside parens/brackets (where-clauses with brace-carrying
 //!   const generics would confuse this; the workspace has none);
-//! * `pub(crate)`/`pub(super)` count as `pub` — a crate-visible fn is
-//!   an entry point for panic-reachability just like an exported one;
 //! * nested `fn` items are hoisted to the file's flat item list (their
 //!   bodies nest inside the parent's span, which only adds edges).
 
@@ -28,10 +27,6 @@ pub struct FnItem {
     pub name: String,
     /// 1-based line of the `fn` keyword.
     pub line: u32,
-    /// Carries a `pub` (any restriction) in its item prelude.
-    pub is_pub: bool,
-    /// Defined inside an `impl Trait for Type` block.
-    pub in_trait_impl: bool,
     /// Defined inside any `impl` block (trait or inherent).
     pub in_impl: bool,
     /// The self-type name of the enclosing `impl` block, if any
@@ -64,9 +59,6 @@ pub struct ParsedFile {
     pub uses: Vec<UseDecl>,
 }
 
-/// Keywords that may precede `fn` in an item prelude.
-const FN_PRELUDE: &[&str] = &["const", "unsafe", "async", "extern", "default"];
-
 /// Parses the item structure out of a lexed file.
 pub fn parse(lexed: &LexedFile) -> ParsedFile {
     let tokens = &lexed.tokens;
@@ -95,26 +87,23 @@ pub fn parse(lexed: &LexedFile) -> ParsedFile {
     ParsedFile { fns, uses }
 }
 
-/// An `impl` block's body token range, whether it is a trait impl, and
-/// the self-type name from its header.
+/// An `impl` block's body token range and the self-type name from its
+/// header.
 struct ImplBlock {
     body: (usize, usize),
-    is_trait: bool,
     type_name: Option<String>,
 }
 
-/// Finds every `impl ... {` block, whether a `for` appears in its header
-/// (trait impl) — `for` cannot otherwise occur between `impl` and the
-/// body brace (no loops in type position) — and the self-type name: the
-/// last identifier at angle-depth 0 before the body brace (after the
-/// `for` in a trait impl), so `impl<T> EventQueue<T> for EventCalendar<T>`
-/// resolves to `EventCalendar` and `impl Foo<T> { .. }` to `Foo`.
+/// Finds every `impl ... {` block and its self-type name: the last
+/// identifier at angle-depth 0 before the body brace (after the `for` in
+/// a trait impl — `for` cannot otherwise occur between `impl` and the
+/// body brace), so `impl<T> EventQueue<T> for EventCalendar<T>` resolves
+/// to `EventCalendar` and `impl Foo<T> { .. }` to `Foo`.
 fn find_impl_blocks(tokens: &[Token]) -> Vec<ImplBlock> {
     let mut out = Vec::new();
     let mut i = 0usize;
     while i < tokens.len() {
         if tokens[i].ident() == Some("impl") {
-            let mut is_trait = false;
             let mut j = i + 1;
             let mut type_name: Option<String> = None;
             // Scan the header to the body brace, skipping nested
@@ -134,7 +123,6 @@ fn find_impl_blocks(tokens: &[Token]) -> Vec<ImplBlock> {
                 } else if depth == 0 && t.is_punct('>') {
                     angle -= 1;
                 } else if depth == 0 && t.ident() == Some("for") {
-                    is_trait = true;
                     // The self type follows the `for`; restart capture.
                     type_name = None;
                 } else if depth == 0 && t.is_punct('{') {
@@ -160,7 +148,6 @@ fn find_impl_blocks(tokens: &[Token]) -> Vec<ImplBlock> {
                 let close = match_brace(tokens, j);
                 out.push(ImplBlock {
                     body: (j + 1, close),
-                    is_trait,
                     type_name,
                 });
                 // Continue *inside* the impl so its fns are still seen by
@@ -194,31 +181,6 @@ fn match_brace(tokens: &[Token], open: usize) -> usize {
 fn parse_fn(lexed: &LexedFile, impls: &[ImplBlock], at: usize) -> Option<FnItem> {
     let tokens = &lexed.tokens;
     let name = tokens.get(at + 1)?.ident()?.to_string();
-    // Walk the item prelude backwards for a `pub`. Tolerate
-    // `pub(crate)`/`pub(in path)` by skipping one paren group.
-    let mut is_pub = false;
-    let mut k = at;
-    while k > 0 {
-        k -= 1;
-        let t = &tokens[k];
-        if let Some(id) = t.ident() {
-            if id == "pub" {
-                is_pub = true;
-                break;
-            }
-            if FN_PRELUDE.contains(&id) || id == "crate" || id == "super" || id == "in" {
-                continue;
-            }
-            break;
-        }
-        if t.is_punct(')') || t.is_punct('(') {
-            continue; // inside a pub(...) restriction
-        }
-        if matches!(t.kind, crate::lexer::TokenKind::Literal) {
-            continue; // extern "C"
-        }
-        break;
-    }
     // Find the body: first `{` after the signature outside
     // parens/brackets; a `;` first means a bodiless declaration.
     let mut depth = 0i64;
@@ -240,9 +202,6 @@ fn parse_fn(lexed: &LexedFile, impls: &[ImplBlock], at: usize) -> Option<FnItem>
         j += 1;
     }
     let in_impl = impls.iter().any(|b| b.body.0 <= at && at < b.body.1);
-    let in_trait_impl = impls
-        .iter()
-        .any(|b| b.is_trait && b.body.0 <= at && at < b.body.1);
     // The innermost enclosing impl wins (nested impls inside fn bodies
     // shadow the outer block for the fns they contain).
     let impl_type = impls
@@ -254,8 +213,6 @@ fn parse_fn(lexed: &LexedFile, impls: &[ImplBlock], at: usize) -> Option<FnItem>
         line: tokens[at].line,
         in_test: lexed.in_test_code(tokens[at].line),
         name,
-        is_pub,
-        in_trait_impl,
         in_impl,
         impl_type,
         body,
@@ -296,33 +253,21 @@ mod tests {
     }
 
     #[test]
-    fn fn_items_carry_visibility_and_lines() {
+    fn fn_items_carry_names_and_lines() {
         let p = parse_src("fn private() {}\n\npub fn public() {}\npub(crate) fn scoped() {}\n");
-        let names: Vec<(&str, bool, u32)> = p
-            .fns
-            .iter()
-            .map(|f| (f.name.as_str(), f.is_pub, f.line))
-            .collect();
-        assert_eq!(
-            names,
-            vec![
-                ("private", false, 1),
-                ("public", true, 3),
-                ("scoped", true, 4)
-            ]
-        );
+        let names: Vec<(&str, u32)> = p.fns.iter().map(|f| (f.name.as_str(), f.line)).collect();
+        assert_eq!(names, vec![("private", 1), ("public", 3), ("scoped", 4)]);
     }
 
     #[test]
-    fn trait_impl_fns_are_marked() {
-        let src = "struct S;\nimpl S { fn inherent(&self) {} }\nimpl Clone for S { fn clone(&self) -> S { S } }\n";
+    fn impl_fns_are_marked() {
+        let src = "struct S;\nimpl S { fn inherent(&self) {} }\nimpl Clone for S { fn clone(&self) -> S { S } }\nfn free() {}\n";
         let p = parse_src(src);
-        let inherent = p.fns.iter().find(|f| f.name == "inherent").unwrap();
-        assert!(inherent.in_impl && !inherent.in_trait_impl);
-        assert_eq!(inherent.impl_type.as_deref(), Some("S"));
-        let clone = p.fns.iter().find(|f| f.name == "clone").unwrap();
-        assert!(clone.in_impl && clone.in_trait_impl);
-        assert_eq!(clone.impl_type.as_deref(), Some("S"));
+        let get = |n: &str| p.fns.iter().find(|f| f.name == n).unwrap();
+        assert!(get("inherent").in_impl && get("clone").in_impl);
+        assert!(!get("free").in_impl);
+        assert_eq!(get("inherent").impl_type.as_deref(), Some("S"));
+        assert_eq!(get("clone").impl_type.as_deref(), Some("S"));
     }
 
     #[test]

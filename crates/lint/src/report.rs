@@ -215,7 +215,7 @@ mod tests {
         let a = Analysis {
             root: ".".into(),
             files_scanned: 7,
-            findings: vec![finding("GN03", "a.rs", 1, Some("proven"))],
+            findings: vec![finding("GN08", "a.rs", 1, Some("proven"))],
         };
         assert!(a.clean());
         assert!(a.human().contains("0 findings (1 allowed)"));
@@ -238,7 +238,7 @@ mod tests {
                 r.id
             );
         }
-        assert!(j.contains("\"rules\": [\"GN01\""));
+        assert!(j.contains("\"rules\": [\"GN08\""));
     }
 
     #[test]
@@ -246,7 +246,7 @@ mod tests {
         let a = Analysis {
             root: "/w".into(),
             files_scanned: 1,
-            findings: vec![finding("GN01", "crates/des/src/x.rs", 42, None)],
+            findings: vec![finding("GN08", "crates/des/src/x.rs", 42, None)],
         };
         assert!(!a.clean());
         let j = a.json();
@@ -260,12 +260,12 @@ mod tests {
             root: "/w".into(),
             files_scanned: 2,
             findings: vec![
-                finding("GN01", "crates/des/src/x.rs", 42, None),
+                finding("GN08", "crates/des/src/x.rs", 42, None),
                 finding(
-                    "GN09",
-                    "crates/numerics/src/conv.rs",
+                    "GN14",
+                    "crates/serve/src/request.rs",
                     75,
-                    Some("clamped first"),
+                    Some("pool width is bitwise-invariant"),
                 ),
             ],
         };
@@ -278,9 +278,9 @@ mod tests {
                 r.id
             );
         }
-        assert!(s.contains("\"ruleId\": \"GN01\""));
+        assert!(s.contains("\"ruleId\": \"GN08\""));
         assert!(s.contains("\"startLine\": 42"));
-        assert!(s.contains("\"justification\": \"clamped first\""));
+        assert!(s.contains("\"justification\": \"pool width is bitwise-invariant\""));
         // Exactly one result carries a suppression block.
         assert_eq!(s.matches("\"suppressions\"").count(), 1);
     }
@@ -333,7 +333,7 @@ mod tests {
         let a = Analysis {
             root: "/w".into(),
             files_scanned: 1,
-            findings: vec![finding("GN02", "crates/cli/src/x.rs", 9, None)],
+            findings: vec![finding("GN08", "crates/cli/src/x.rs", 9, None)],
         };
         assert!(a.human().contains("crates/cli/src/x.rs:9"));
     }

@@ -1,19 +1,15 @@
-//! The greednet invariant rules, GN01–GN15.
+//! The greednet invariant rules the compiler cannot express.
 //!
 //! Each rule guards a guarantee the paper-reproduction pipeline depends
-//! on (see `LINTS.md` at the workspace root for the full rationale):
+//! on (see `LINTS.md` at the workspace root for the full rationale). The
+//! invariants rustc and clippy can check — no hash containers, wall
+//! clock, panics, `partial_cmp` or lossy casts in library code — live in
+//! the root `clippy.toml`, `[workspace.lints]` and each library crate
+//! root instead; LINTS.md maps them to the rule ids they replaced.
 //!
 //! | Rule | Invariant |
 //! |------|-----------|
-//! | GN01 | no `HashMap`/`HashSet` in deterministic crates |
-//! | GN02 | no `Instant::now`/`SystemTime` outside pool/profile |
-//! | GN03 | no `unwrap`/`expect`/`panic!`/`todo!` in library code |
-//! | GN04 | every first-party crate root carries `#![forbid(unsafe_code)]` |
-//! | GN05 | no wall-clock or `thread::sleep` in experiment code paths |
-//! | GN06 | no panic reachable from a pub library fn ([`crate::graph`]) |
-//! | GN07 | float comparators must use `total_cmp`, not `partial_cmp` |
 //! | GN08 | no swallowed `Result`s (`.ok();` / `let _ =` a fallible call) |
-//! | GN09 | no lossy `as` integer casts in deterministic crates |
 //! | GN10 | `gn:hot` fns never reach allocation ([`crate::hot`]) |
 //! | GN11 | RNG splits consumed on all paths ([`crate::expr`]) |
 //! | GN12 | merged-collection float reductions via `reduce` ([`crate::expr`]) |
@@ -21,14 +17,10 @@
 //! | GN14 | every request field in the canonical cache key ([`crate::typerules`]) |
 //! | GN15 | telemetry probes write-only from deterministic code ([`crate::typerules`]) |
 //!
-//! Rules apply to *library* code: integration tests, benches, binaries,
-//! and inline `#[cfg(test)]` modules are exempt (they own their I/O,
-//! timing displays, and assertion style; none of them sit on the
-//! deterministic replication path). GN07 is the exception: it also runs
-//! over test code in deterministic crates, because a NaN-partial
-//! comparator in a *test* panics since Rust 1.81 and silently reorders
-//! before that — either way the test stops pinning the behaviour it was
-//! written for.
+//! Rules apply to *library* code: integration tests, binaries, and
+//! inline `#[cfg(test)]` modules are exempt (they own their I/O, timing
+//! displays, and assertion style; none of them sit on the deterministic
+//! replication path).
 
 use crate::lexer::{LexedFile, Token};
 
@@ -39,12 +31,8 @@ pub enum FileKind {
     Lib,
     /// Integration test under `tests/`.
     Test,
-    /// Benchmark under `benches/`.
-    Bench,
     /// Binary: `src/main.rs` or under `src/bin/`.
     Bin,
-    /// `build.rs` build script.
-    BuildScript,
 }
 
 /// Per-file context the rules need: which crate, which role, which path.
@@ -56,14 +44,12 @@ pub struct FileContext {
     /// Workspace-relative path with `/` separators.
     pub rel_path: String,
     pub kind: FileKind,
-    /// True for `src/lib.rs` of a first-party crate.
-    pub is_crate_root: bool,
 }
 
 /// One rule violation (or suppressed would-be violation).
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// Rule id, e.g. `GN01` (`GN00` marks a malformed allow annotation).
+    /// Rule id, e.g. `GN08` (`GN00` marks a malformed allow annotation).
     pub rule: &'static str,
     pub file: String,
     pub line: u32,
@@ -73,9 +59,9 @@ pub struct Finding {
 }
 
 /// Crates whose outputs feed the paper-vs-measured tables and must be
-/// bitwise deterministic at any thread count (GN01 scope; `runtime`
-/// covers the deterministic scheduling layer, `serve` the scenario
-/// service whose cached payloads must be bitwise reproducible).
+/// bitwise deterministic at any thread count (the scope of GN10–GN12 and
+/// GN15; `runtime` covers the deterministic scheduling layer, `serve` the
+/// scenario service whose cached payloads must be bitwise reproducible).
 pub const DETERMINISTIC_CRATES: &[&str] = &[
     "des",
     "core",
@@ -88,24 +74,6 @@ pub const DETERMINISTIC_CRATES: &[&str] = &[
     "runtime",
     "serve",
 ];
-
-/// Files allowed to read the wall clock: the pool's profiling
-/// side-channel and the telemetry profiler (GN02/GN05 carve-out).
-pub const WALL_CLOCK_FILES: &[&str] = &[
-    "crates/runtime/src/pool.rs",
-    "crates/telemetry/src/profile.rs",
-];
-
-/// Crates exempt from GN03: the bench crate is the experiment harness —
-/// its panics abort an experiment run on a violated physics invariant
-/// rather than crash a library consumer, and its outputs are regenerated,
-/// never served.
-pub const GN03_EXEMPT_CRATES: &[&str] = &["bench"];
-
-/// Crates that hold experiment code paths (GN05 scope): replications must
-/// merge deterministically and runs must be resumable, so no wall-clock
-/// state may leak into them.
-pub const GN05_CRATES: &[&str] = &["bench", "runtime"];
 
 /// Static metadata for one rule id: the one-line summary (human report,
 /// `--list-rules`, SARIF `shortDescription`), the paragraph-length
@@ -124,76 +92,11 @@ pub struct RuleMeta {
 /// fixture coverage checks.
 pub const RULES: &[RuleMeta] = &[
     RuleMeta {
-        id: "GN01",
-        summary: "no HashMap/HashSet in deterministic crates",
-        full: "Deterministic crates must not use std HashMap/HashSet: randomized \
-               hashing makes iteration order differ across runs, which leaks into \
-               event ordering and float accumulation. Use BTreeMap/BTreeSet or \
-               index-keyed vectors.",
-        anchor: "gn01--no-hashmaphashset-in-deterministic-crates",
-    },
-    RuleMeta {
-        id: "GN02",
-        summary: "no Instant::now/SystemTime outside pool/profile",
-        full: "Wall-clock reads outside the designated profiling files make \
-               results depend on host timing. Only the pool's profiling \
-               side-channel and the telemetry profiler may touch the clock.",
-        anchor: "gn02--no-instantnowsystemtime-outside-designated-profiling",
-    },
-    RuleMeta {
-        id: "GN03",
-        summary: "no unwrap/expect/panic!/todo! in library code",
-        full: "Library code must return Result instead of panicking; a panic in a \
-               service or solver aborts a whole batch. Proven invariants may be \
-               annotated with an allow carrying the proof.",
-        anchor: "gn03--no-unwrapexpectpanictodounimplemented-in-library-code",
-    },
-    RuleMeta {
-        id: "GN04",
-        summary: "crate roots must #![forbid(unsafe_code)]",
-        full: "Every first-party crate root carries #![forbid(unsafe_code)] so \
-               the determinism audit never has to reason about UB.",
-        anchor: "gn04--every-crate-root-must-carry-forbidunsafe_code",
-    },
-    RuleMeta {
-        id: "GN05",
-        summary: "no wall-clock/thread::sleep in experiment code paths",
-        full: "Experiment code paths must be resumable and merge \
-               deterministically, so no wall-clock state or sleeps may leak into \
-               them.",
-        anchor: "gn05--no-wall-clock-state-in-experiment-code-paths",
-    },
-    RuleMeta {
-        id: "GN06",
-        summary: "no panic reachable from a pub library fn (call-graph closure)",
-        full: "A pub library fn must not reach unwrap/expect/panic!-family \
-               constructs through the intra-workspace call graph, including via \
-               private helpers; make the chain return Result or annotate the \
-               proven invariant at the panic site.",
-        anchor: "gn06--no-panic-reachable-from-a-pub-library-fn",
-    },
-    RuleMeta {
-        id: "GN07",
-        summary: "float comparators must use total_cmp, not partial_cmp+unwrap",
-        full: "partial_cmp-based comparators panic or silently reorder on NaN; \
-               sorting and min/max over floats must go through f64::total_cmp so \
-               ordering is total and deterministic.",
-        anchor: "gn07--float-comparators-must-use-total_cmp",
-    },
-    RuleMeta {
         id: "GN08",
         summary: "no swallowed Results in library code",
         full: "Discarding a fallible call's Result (.ok(); or let _ =) hides \
                failures that should propagate; handle or return the error.",
         anchor: "gn08--no-swallowed-results-in-library-code",
-    },
-    RuleMeta {
-        id: "GN09",
-        summary: "no lossy `as` integer casts in deterministic crates",
-        full: "Lossy `as` casts truncate silently and differ across widths; \
-               deterministic crates must use TryFrom or checked conversions, with \
-               audited allows for proven-in-range casts.",
-        anchor: "gn09--no-lossy-as-integer-casts-in-deterministic-crates",
     },
     RuleMeta {
         id: "GN10",
@@ -263,7 +166,7 @@ pub const DIAGNOSTICS: &[RuleMeta] = &[RuleMeta {
     anchor: "gn00--malformed-annotation-diagnostic",
 }];
 
-/// Runs every rule over one lexed file, applying suppressions.
+/// Runs the per-file rules over one lexed file, applying suppressions.
 pub fn check_file(ctx: &FileContext, lexed: &LexedFile) -> Vec<Finding> {
     let mut findings = Vec::new();
     // Malformed annotations are findings themselves: a typo must not
@@ -277,21 +180,9 @@ pub fn check_file(ctx: &FileContext, lexed: &LexedFile) -> Vec<Finding> {
             suppressed: None,
         });
     }
-    let exempt_kind = matches!(
-        ctx.kind,
-        FileKind::Test | FileKind::Bench | FileKind::Bin | FileKind::BuildScript
-    );
-    if !exempt_kind {
-        gn01(ctx, lexed, &mut findings);
-        gn02(ctx, lexed, &mut findings);
-        gn03(ctx, lexed, &mut findings);
-        gn05(ctx, lexed, &mut findings);
+    if ctx.kind == FileKind::Lib {
         gn08(ctx, lexed, &mut findings);
-        gn09(ctx, lexed, &mut findings);
     }
-    gn04(ctx, lexed, &mut findings);
-    // GN07 deliberately runs for tests and benches too (see module docs).
-    gn07(ctx, lexed, &mut findings);
     apply_suppressions(lexed, &mut findings);
     findings
 }
@@ -328,261 +219,6 @@ fn push(
     });
 }
 
-/// GN01: nondeterministic hash containers in deterministic crates.
-/// `HashMap`/`HashSet` iteration order varies per process (SipHash keys
-/// are randomized), which silently corrupts the paper-vs-measured tables
-/// replications are merged into.
-fn gn01(ctx: &FileContext, lexed: &LexedFile, findings: &mut Vec<Finding>) {
-    if !DETERMINISTIC_CRATES.contains(&ctx.crate_name.as_str()) {
-        return;
-    }
-    for t in &lexed.tokens {
-        let Some(name) = t.ident() else { continue };
-        if (name == "HashMap" || name == "HashSet") && !lexed.in_test_code(t.line) {
-            push(
-                findings,
-                "GN01",
-                ctx,
-                t.line,
-                format!(
-                    "{name} in deterministic crate `{}`: iteration order is \
-                     randomized per process; use BTreeMap/BTreeSet or an \
-                     index-keyed Vec",
-                    ctx.crate_name
-                ),
-            );
-        }
-    }
-}
-
-/// GN02: wall-clock reads outside the two designated profiling files.
-fn gn02(ctx: &FileContext, lexed: &LexedFile, findings: &mut Vec<Finding>) {
-    if WALL_CLOCK_FILES.contains(&ctx.rel_path.as_str()) {
-        return;
-    }
-    for (i, t) in lexed.tokens.iter().enumerate() {
-        if lexed.in_test_code(t.line) {
-            continue;
-        }
-        match t.ident() {
-            Some("SystemTime") => push(
-                findings,
-                "GN02",
-                ctx,
-                t.line,
-                "SystemTime outside runtime::pool/telemetry::profile: wall-clock \
-                 state breaks bitwise replication"
-                    .into(),
-            ),
-            Some("Instant") if followed_by_now(&lexed.tokens, i) => push(
-                findings,
-                "GN02",
-                ctx,
-                t.line,
-                "Instant::now outside runtime::pool/telemetry::profile: timing \
-                 belongs in the telemetry side-channel"
-                    .into(),
-            ),
-            _ => {}
-        }
-    }
-}
-
-/// True if tokens `i..` spell `Instant :: now`.
-fn followed_by_now(tokens: &[Token], i: usize) -> bool {
-    tokens.get(i + 1).is_some_and(|t| t.is_punct(':'))
-        && tokens.get(i + 2).is_some_and(|t| t.is_punct(':'))
-        && tokens.get(i + 3).and_then(Token::ident) == Some("now")
-}
-
-/// GN03: panicking constructs on library paths.
-fn gn03(ctx: &FileContext, lexed: &LexedFile, findings: &mut Vec<Finding>) {
-    if GN03_EXEMPT_CRATES.contains(&ctx.crate_name.as_str()) {
-        return;
-    }
-    let tokens = &lexed.tokens;
-    for (i, t) in tokens.iter().enumerate() {
-        if lexed.in_test_code(t.line) {
-            continue;
-        }
-        let Some(name) = t.ident() else { continue };
-        match name {
-            // `.unwrap()` / `.expect(` method calls only: a leading `.`
-            // keeps idents like `unwrap_or` and free fns out.
-            "unwrap" | "expect" => {
-                let is_method = i > 0
-                    && tokens[i - 1].is_punct('.')
-                    && tokens.get(i + 1).is_some_and(|t| t.is_punct('('));
-                if is_method {
-                    push(
-                        findings,
-                        "GN03",
-                        ctx,
-                        t.line,
-                        format!(
-                            ".{name}() on a library path: return a Result or \
-                             annotate the proven invariant"
-                        ),
-                    );
-                }
-            }
-            "panic" | "todo" | "unimplemented"
-                if tokens.get(i + 1).is_some_and(|t| t.is_punct('!')) =>
-            {
-                push(
-                    findings,
-                    "GN03",
-                    ctx,
-                    t.line,
-                    format!("{name}! on a library path: return an error instead"),
-                );
-            }
-            _ => {}
-        }
-    }
-}
-
-/// GN04: crate roots must forbid unsafe code at the attribute level, so
-/// the compiler (not this analyzer) rejects any future `unsafe` block.
-fn gn04(ctx: &FileContext, lexed: &LexedFile, findings: &mut Vec<Finding>) {
-    if !ctx.is_crate_root {
-        return;
-    }
-    if !has_forbid_unsafe(&lexed.tokens) {
-        push(
-            findings,
-            "GN04",
-            ctx,
-            1,
-            "crate root is missing #![forbid(unsafe_code)]".into(),
-        );
-    }
-}
-
-/// Scans for the token sequence `# ! [ forbid ( unsafe_code ) ]`.
-fn has_forbid_unsafe(tokens: &[Token]) -> bool {
-    tokens.windows(8).any(|w| {
-        w[0].is_punct('#')
-            && w[1].is_punct('!')
-            && w[2].is_punct('[')
-            && w[3].ident() == Some("forbid")
-            && w[4].is_punct('(')
-            && w[5].ident() == Some("unsafe_code")
-            && w[6].is_punct(')')
-            && w[7].is_punct(']')
-    })
-}
-
-/// GN05: wall-clock state in experiment code paths. Experiments are
-/// resumable and replication-merged; `thread::sleep` and clock reads make
-/// the merge order (and any cached resume) diverge from a fresh run.
-fn gn05(ctx: &FileContext, lexed: &LexedFile, findings: &mut Vec<Finding>) {
-    if !GN05_CRATES.contains(&ctx.crate_name.as_str())
-        || WALL_CLOCK_FILES.contains(&ctx.rel_path.as_str())
-    {
-        return;
-    }
-    let tokens = &lexed.tokens;
-    for (i, t) in tokens.iter().enumerate() {
-        if lexed.in_test_code(t.line) {
-            continue;
-        }
-        match t.ident() {
-            Some("thread")
-                if tokens.get(i + 1).is_some_and(|t| t.is_punct(':'))
-                    && tokens.get(i + 2).is_some_and(|t| t.is_punct(':'))
-                    && tokens.get(i + 3).and_then(Token::ident) == Some("sleep") =>
-            {
-                push(
-                    findings,
-                    "GN05",
-                    ctx,
-                    t.line,
-                    "thread::sleep in an experiment code path: pacing must come \
-                     from simulated time, never the host clock"
-                        .into(),
-                );
-            }
-            Some("UNIX_EPOCH") => push(
-                findings,
-                "GN05",
-                ctx,
-                t.line,
-                "UNIX_EPOCH (wall-clock date) in an experiment code path: stamp \
-                 reports outside the deterministic pipeline"
-                    .into(),
-            ),
-            Some("Instant") if followed_by_now(tokens, i) => push(
-                findings,
-                "GN05",
-                ctx,
-                t.line,
-                "Instant::now in an experiment code path: timings belong in the \
-                 telemetry side-channel (runtime::pool profiling)"
-                    .into(),
-            ),
-            _ => {}
-        }
-    }
-}
-
-/// Comparator-taking slice/iterator methods GN07 inspects.
-const SORT_METHODS: &[&str] = &[
-    "sort_by",
-    "sort_unstable_by",
-    "min_by",
-    "max_by",
-    "binary_search_by",
-];
-
-/// `Option`/`Result` extractors that make a `partial_cmp` comparator
-/// non-total (or NaN-collapsing) instead of NaN-ordering.
-const PARTIAL_ESCAPES: &[&str] = &["unwrap", "unwrap_or", "unwrap_or_else", "expect"];
-
-/// GN07: float comparators built from `partial_cmp` + an unwrap-family
-/// escape. On NaN the comparator either panics (`unwrap`, a hard error
-/// since Rust 1.81's sort algorithms assert totality) or claims equality
-/// (`unwrap_or(Equal)`), which makes the sort order depend on the input
-/// permutation — and hence, in this workspace, on thread count. Bitwise
-/// replication needs `f64::total_cmp` (or a NaN-freedom proof in an
-/// allow annotation).
-fn gn07(ctx: &FileContext, lexed: &LexedFile, findings: &mut Vec<Finding>) {
-    if !DETERMINISTIC_CRATES.contains(&ctx.crate_name.as_str()) {
-        return;
-    }
-    let tokens = &lexed.tokens;
-    for (i, t) in tokens.iter().enumerate() {
-        let Some(name) = t.ident() else { continue };
-        if !SORT_METHODS.contains(&name)
-            || i == 0
-            || !tokens[i - 1].is_punct('.')
-            || !tokens.get(i + 1).is_some_and(|t| t.is_punct('('))
-        {
-            continue;
-        }
-        let args = paren_span(tokens, i + 1);
-        let uses_partial = tokens[args.clone()]
-            .iter()
-            .any(|t| t.ident() == Some("partial_cmp"));
-        let escapes = tokens[args]
-            .iter()
-            .any(|t| t.ident().is_some_and(|id| PARTIAL_ESCAPES.contains(&id)));
-        if uses_partial && escapes {
-            push(
-                findings,
-                "GN07",
-                ctx,
-                t.line,
-                format!(
-                    ".{name}() comparator uses partial_cmp + unwrap: non-total \
-                     on NaN (panics or input-order-dependent); use \
-                     f64::total_cmp or prove NaN-freedom in an allow"
-                ),
-            );
-        }
-    }
-}
-
 /// True if the statement containing token `i` drops its value: walking
 /// back to the previous `;`/`{`/`}` finds neither an `=` (binding or
 /// assignment) nor a `return`/`break` handing the value out.
@@ -596,23 +232,6 @@ fn statement_discards_value(tokens: &[Token], i: usize) -> bool {
         }
     }
     true
-}
-
-/// Token index range strictly inside the paren group opening at `open`
-/// (which must be `(`); empty on malformed input.
-fn paren_span(tokens: &[Token], open: usize) -> std::ops::Range<usize> {
-    let mut depth = 0i64;
-    for (k, t) in tokens.iter().enumerate().skip(open) {
-        if t.is_punct('(') {
-            depth += 1;
-        } else if t.is_punct(')') {
-            depth -= 1;
-            if depth == 0 {
-                return open + 1..k;
-            }
-        }
-    }
-    open + 1..open + 1
 }
 
 /// GN08: silently swallowed `Result`s. A `.ok();` statement or a
@@ -697,61 +316,16 @@ fn gn08(ctx: &FileContext, lexed: &LexedFile, findings: &mut Vec<Finding>) {
     }
 }
 
-/// Integer target types an `as` cast may silently truncate or
-/// reinterpret into (GN09). `as f64`, `as i32`, and `as isize` are
-/// deliberately *not* flagged: a token-level analyzer cannot see the
-/// source type, and those targets are dominated by lossless
-/// widening/shrink-free uses here — flagging them would be noise, which
-/// is documented as an under-approximation in DESIGN.md §7.
-const LOSSY_AS_TARGETS: &[&str] = &["usize", "u32", "u64", "i64"];
-
-/// GN09: lossy `as` casts in deterministic crates. `as` silently
-/// truncates, saturates, and sign-flips; the replication tables must
-/// never depend on such a cast being "probably in range". Use
-/// `try_from`/`From`, or one of `greednet_numerics::conv`'s audited
-/// helpers (which carry the range proof in their allow annotations).
-fn gn09(ctx: &FileContext, lexed: &LexedFile, findings: &mut Vec<Finding>) {
-    if !DETERMINISTIC_CRATES.contains(&ctx.crate_name.as_str()) {
-        return;
-    }
-    let tokens = &lexed.tokens;
-    for (i, t) in tokens.iter().enumerate() {
-        if lexed.in_test_code(t.line) {
-            continue;
-        }
-        if t.ident() != Some("as") {
-            continue;
-        }
-        let Some(target) = tokens.get(i + 1).and_then(Token::ident) else {
-            continue;
-        };
-        if LOSSY_AS_TARGETS.contains(&target) {
-            push(
-                findings,
-                "GN09",
-                ctx,
-                t.line,
-                format!(
-                    "`as {target}` can silently truncate or sign-flip: use \
-                     try_from/From or a greednet_numerics::conv helper whose \
-                     allow annotation proves the range"
-                ),
-            );
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lexer::lex;
 
-    fn ctx(crate_name: &str, rel_path: &str, kind: FileKind, root: bool) -> FileContext {
+    fn ctx(crate_name: &str, rel_path: &str, kind: FileKind) -> FileContext {
         FileContext {
             crate_name: crate_name.into(),
             rel_path: rel_path.into(),
             kind,
-            is_crate_root: root,
         }
     }
 
@@ -764,222 +338,10 @@ mod tests {
     }
 
     #[test]
-    fn gn01_fires_only_in_deterministic_crates() {
-        let lexed = lex("use std::collections::HashMap;\n");
-        let des = check_file(
-            &ctx("des", "crates/des/src/x.rs", FileKind::Lib, false),
-            &lexed,
-        );
-        assert_eq!(rules_fired(&des), vec!["GN01"]);
-        let tel = check_file(
-            &ctx(
-                "telemetry",
-                "crates/telemetry/src/x.rs",
-                FileKind::Lib,
-                false,
-            ),
-            &lexed,
-        );
-        assert!(rules_fired(&tel).is_empty());
-    }
-
-    #[test]
-    fn gn01_spans_carry_the_right_line() {
-        let lexed = lex("\n\nlet m: HashMap<u64, f64> = HashMap::new();\n");
-        let f = check_file(
-            &ctx("des", "crates/des/src/x.rs", FileKind::Lib, false),
-            &lexed,
-        );
-        assert_eq!(f.len(), 2);
-        assert!(f.iter().all(|f| f.line == 3));
-    }
-
-    #[test]
-    fn gn02_exempts_designated_files_and_bins() {
-        let lexed = lex("let t = Instant::now();\n");
-        let pool = check_file(
-            &ctx(
-                "runtime",
-                "crates/runtime/src/pool.rs",
-                FileKind::Lib,
-                false,
-            ),
-            &lexed,
-        );
-        assert!(rules_fired(&pool).is_empty());
-        let lib = check_file(
-            &ctx("cli", "crates/cli/src/x.rs", FileKind::Lib, false),
-            &lexed,
-        );
-        assert_eq!(rules_fired(&lib), vec!["GN02"]);
-        let bin = check_file(
-            &ctx("cli", "crates/cli/src/main.rs", FileKind::Bin, false),
-            &lexed,
-        );
-        assert!(rules_fired(&bin).is_empty());
-    }
-
-    #[test]
-    fn gn03_matches_methods_not_lookalikes() {
-        let lexed = lex("let a = x.unwrap();\nlet b = x.unwrap_or(0);\nlet c = x.expect(\"m\");\n");
-        let f = check_file(
-            &ctx("core", "crates/core/src/x.rs", FileKind::Lib, false),
-            &lexed,
-        );
-        let lines: Vec<u32> = f.iter().map(|f| f.line).collect();
-        assert_eq!(lines, vec![1, 3]);
-    }
-
-    #[test]
-    fn gn03_exempts_cfg_test_modules_and_bench_crate() {
-        let src = "#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); }\n}\n";
-        let lexed = lex(src);
-        let f = check_file(
-            &ctx("core", "crates/core/src/x.rs", FileKind::Lib, false),
-            &lexed,
-        );
-        assert!(rules_fired(&f).is_empty());
-        let lexed2 = lex("fn run() { x.expect(\"physics\"); }\n");
-        let f2 = check_file(
-            &ctx(
-                "bench",
-                "crates/bench/src/experiments/e1.rs",
-                FileKind::Lib,
-                false,
-            ),
-            &lexed2,
-        );
-        assert!(rules_fired(&f2).is_empty());
-    }
-
-    #[test]
-    fn gn03_catches_panic_todo_unimplemented() {
-        let lexed = lex("panic!(\"boom\");\ntodo!();\nunimplemented!();\n");
-        let f = check_file(
-            &ctx("des", "crates/des/src/x.rs", FileKind::Lib, false),
-            &lexed,
-        );
-        assert_eq!(f.len(), 3);
-    }
-
-    #[test]
-    fn gn04_requires_forbid_on_roots_only() {
-        let bare = lex("pub mod x;\n");
-        let root = check_file(
-            &ctx("des", "crates/des/src/lib.rs", FileKind::Lib, true),
-            &bare,
-        );
-        assert_eq!(rules_fired(&root), vec!["GN04"]);
-        let non_root = check_file(
-            &ctx("des", "crates/des/src/x.rs", FileKind::Lib, false),
-            &bare,
-        );
-        assert!(rules_fired(&non_root).is_empty());
-        let good = lex("#![forbid(unsafe_code)]\npub mod x;\n");
-        let ok = check_file(
-            &ctx("des", "crates/des/src/lib.rs", FileKind::Lib, true),
-            &good,
-        );
-        assert!(rules_fired(&ok).is_empty());
-    }
-
-    #[test]
-    fn gn05_fires_in_experiment_crates() {
-        let lexed = lex("std::thread::sleep(d);\n");
-        let f = check_file(
-            &ctx(
-                "runtime",
-                "crates/runtime/src/sweep.rs",
-                FileKind::Lib,
-                false,
-            ),
-            &lexed,
-        );
-        assert_eq!(rules_fired(&f), vec!["GN05"]);
-        let core = check_file(
-            &ctx("core", "crates/core/src/x.rs", FileKind::Lib, false),
-            &lexed,
-        );
-        assert!(rules_fired(&core).is_empty());
-    }
-
-    #[test]
-    fn allow_annotation_suppresses_exactly_its_rule_and_line() {
-        let src = "let m = HashMap::new(); // greednet-lint: allow(GN01, reason = \"keys sorted before iteration\")\nlet n = HashMap::new();\n";
-        let lexed = lex(src);
-        let f = check_file(
-            &ctx("des", "crates/des/src/x.rs", FileKind::Lib, false),
-            &lexed,
-        );
-        let live: Vec<u32> = f
-            .iter()
-            .filter(|f| f.suppressed.is_none())
-            .map(|f| f.line)
-            .collect();
-        assert_eq!(live, vec![2]);
-        assert!(f.iter().any(|f| f.suppressed.is_some() && f.line == 1));
-    }
-
-    #[test]
-    fn gn07_flags_partial_cmp_comparators_even_in_tests() {
-        let src = "v.sort_by(|a, b| a.partial_cmp(b).unwrap());\n\
-                   v.sort_by(f64::total_cmp);\n\
-                   let m = v.iter().min_by(|a, b| a.partial_cmp(b).unwrap_or(core::cmp::Ordering::Equal));\n";
-        let f = check_file(
-            &ctx("queueing", "crates/queueing/src/x.rs", FileKind::Lib, false),
-            &lex(src),
-        );
-        // (`.unwrap()` on line 1 additionally draws GN03; look at GN07 only.)
-        let lines: Vec<u32> = f
-            .iter()
-            .filter(|f| f.rule == "GN07")
-            .map(|f| f.line)
-            .collect();
-        assert_eq!(lines, vec![1, 3]);
-        // Test files in deterministic crates are NOT exempt from GN07.
-        let in_test = check_file(
-            &ctx(
-                "queueing",
-                "crates/queueing/tests/t.rs",
-                FileKind::Test,
-                false,
-            ),
-            &lex("v.sort_by(|a, b| a.partial_cmp(b).expect(\"finite\"));\n"),
-        );
-        assert_eq!(rules_fired(&in_test), vec!["GN07"]);
-        // Non-deterministic crates are out of scope for GN07.
-        let tel = check_file(
-            &ctx(
-                "telemetry",
-                "crates/telemetry/src/x.rs",
-                FileKind::Lib,
-                false,
-            ),
-            &lex("v.sort_by(|a, b| a.partial_cmp(b).unwrap());\n"),
-        );
-        assert!(!tel.iter().any(|f| f.rule == "GN07"));
-    }
-
-    #[test]
-    fn gn07_ignores_partial_cmp_outside_sort_comparators() {
-        let src = "let o = a.partial_cmp(&b);\nlet k = v.sort_by_cached_key(|x| x.id);\n";
-        let f = check_file(
-            &ctx("numerics", "crates/numerics/src/x.rs", FileKind::Lib, false),
-            &lex(src),
-        );
-        assert!(rules_fired(&f).is_empty());
-    }
-
-    #[test]
     fn gn08_flags_ok_statements_and_let_underscore_calls() {
         let src = "do_thing().ok();\nlet _ = send(msg);\nlet _ = config;\nlet ok = x.ok();\n";
         let f = check_file(
-            &ctx(
-                "telemetry",
-                "crates/telemetry/src/x.rs",
-                FileKind::Lib,
-                false,
-            ),
+            &ctx("telemetry", "crates/telemetry/src/x.rs", FileKind::Lib),
             &lex(src),
         );
         let lines: Vec<u32> = f.iter().map(|f| f.line).collect();
@@ -991,67 +353,58 @@ mod tests {
     fn gn08_carves_out_fmt_write_into_string() {
         let src = "use std::fmt::Write as _;\nlet _ = writeln!(out, \"x\");\nlet _ = write!(out, \"y\");\n";
         let f = check_file(
-            &ctx("runtime", "crates/runtime/src/x.rs", FileKind::Lib, false),
+            &ctx("runtime", "crates/runtime/src/x.rs", FileKind::Lib),
             &lex(src),
         );
         assert!(rules_fired(&f).is_empty());
         // Without the fmt::Write import the discard is suspicious again.
         let bare = check_file(
-            &ctx("runtime", "crates/runtime/src/x.rs", FileKind::Lib, false),
+            &ctx("runtime", "crates/runtime/src/x.rs", FileKind::Lib),
             &lex("let _ = writeln!(out, \"x\");\n"),
         );
         assert_eq!(rules_fired(&bare), vec!["GN08"]);
     }
 
     #[test]
-    fn gn09_flags_lossy_casts_in_deterministic_lib_code_only() {
-        let src = "let a = x as usize;\nlet b = y as u64;\nlet c = z as f64;\nlet d = w as i64;\n";
+    fn gn08_exempts_tests_binaries_and_cfg_test_modules() {
+        let src = "let _ = send(msg);\n";
+        for kind in [FileKind::Test, FileKind::Bin] {
+            let f = check_file(&ctx("cli", "crates/cli/src/main.rs", kind), &lex(src));
+            assert!(rules_fired(&f).is_empty(), "{kind:?}");
+        }
+        let inline = "#[cfg(test)]\nmod tests {\n    fn t() { let _ = send(msg); }\n}\n";
         let f = check_file(
-            &ctx("des", "crates/des/src/x.rs", FileKind::Lib, false),
-            &lex(src),
+            &ctx("core", "crates/core/src/x.rs", FileKind::Lib),
+            &lex(inline),
         );
-        let lines: Vec<u32> = f.iter().map(|f| f.line).collect();
-        // `as f64` is the documented under-approximation.
-        assert_eq!(lines, vec![1, 2, 4]);
-        let tel = check_file(
-            &ctx(
-                "telemetry",
-                "crates/telemetry/src/x.rs",
-                FileKind::Lib,
-                false,
-            ),
-            &lex(src),
-        );
-        assert!(rules_fired(&tel).is_empty());
-        let test_code = check_file(
-            &ctx("des", "crates/des/src/x.rs", FileKind::Lib, false),
-            &lex("#[cfg(test)]\nmod tests {\n    fn t() { let a = x as usize; }\n}\n"),
-        );
-        assert!(rules_fired(&test_code).is_empty());
+        assert!(rules_fired(&f).is_empty());
     }
 
     #[test]
-    fn gn08_gn09_respect_allow_annotations() {
-        let src = "let a = x as usize; // greednet-lint: allow(GN09, reason = \"x < 64 by loop bound\")\n";
+    fn allow_annotation_suppresses_exactly_its_rule_and_line() {
+        let src = "let _ = sink.flush(); // greednet-lint: allow(GN08, reason = \"best-effort flush\")\nlet _ = sink.flush();\n";
         let f = check_file(
-            &ctx("des", "crates/des/src/x.rs", FileKind::Lib, false),
+            &ctx("telemetry", "crates/telemetry/src/x.rs", FileKind::Lib),
             &lex(src),
         );
-        assert!(rules_fired(&f).is_empty());
-        assert_eq!(f.len(), 1);
-        assert!(f[0].suppressed.is_some());
+        let live: Vec<u32> = f
+            .iter()
+            .filter(|f| f.suppressed.is_none())
+            .map(|f| f.line)
+            .collect();
+        assert_eq!(live, vec![2]);
+        assert!(f.iter().any(|f| f.suppressed.is_some() && f.line == 1));
     }
 
     #[test]
     fn malformed_annotation_is_a_finding_and_does_not_suppress() {
-        let src = "// greednet-lint: allow(GN01)\nlet m = HashMap::new();\n";
-        let lexed = lex(src);
+        let src = "// greednet-lint: allow(GN08)\nlet _ = sink.flush();\n";
         let f = check_file(
-            &ctx("des", "crates/des/src/x.rs", FileKind::Lib, false),
-            &lexed,
+            &ctx("telemetry", "crates/telemetry/src/x.rs", FileKind::Lib),
+            &lex(src),
         );
         let rules = rules_fired(&f);
         assert!(rules.contains(&"GN00"));
-        assert!(rules.contains(&"GN01"));
+        assert!(rules.contains(&"GN08"));
     }
 }

@@ -1,7 +1,7 @@
 //! Type-aware rules built on [`crate::types`]: GN13 (unit-escape),
 //! GN14 (cache-key completeness), GN15 (probe isolation).
 //!
-//! All three are *workspace passes* like GN06/GN10–GN12: they run over
+//! All three are *workspace passes* like GN10–GN12: they run over
 //! the full [`SourceFile`] set because their context crosses files —
 //! GN13 needs every unit-typed field name in the workspace, GN14 needs
 //! the spec structs (`ops.rs`) while auditing `canonical_json()`
@@ -827,7 +827,6 @@ mod tests {
                 crate_name: crate_name.into(),
                 rel_path: rel_path.into(),
                 kind: FileKind::Lib,
-                is_crate_root: false,
             },
             src,
         )

@@ -1,7 +1,7 @@
 //! Workspace discovery and the file walk: finds every first-party `.rs`
-//! file, classifies its role (lib / test / bench / bin), and runs the
-//! rules over it in two passes — the per-file rules first, then the
-//! whole-workspace rules (call-graph GN06/GN10, expression-dataflow
+//! file, classifies its role (lib / test / bin), and runs the rules over
+//! it in two passes — the per-file rule GN08 first, then the
+//! whole-workspace rules (call-graph GN10, expression-dataflow
 //! GN11/GN12, type-aware GN13–GN15) over the full file set.
 //!
 //! Pass 1 (lex + parse + per-file rules, the bulk of the wall time) is
@@ -17,7 +17,7 @@
 //! `target/`, and the analyzer's own `fixtures/` corpus (deliberately
 //! rule-violating snippets) are never walked.
 
-use crate::graph::{self, SourceFile};
+use crate::graph::SourceFile;
 use crate::report::Analysis;
 use crate::rules::{self, FileContext, FileKind};
 use crate::{expr, hot, typerules};
@@ -88,15 +88,11 @@ pub fn analyze_with(root: &Path, opts: &AnalyzeOptions) -> Result<Analysis, Stri
     let crates_dir = root.join("crates");
     for entry in sorted_entries(&crates_dir)? {
         if entry.is_dir() {
-            for sub in ["src", "tests", "benches"] {
+            for sub in ["src", "tests"] {
                 let dir = entry.join(sub);
                 if dir.is_dir() {
                     collect_rs(&dir, &mut files)?;
                 }
-            }
-            let build = entry.join("build.rs");
-            if build.is_file() {
-                files.push(build);
             }
         }
     }
@@ -122,7 +118,6 @@ pub fn analyze_with(root: &Path, opts: &AnalyzeOptions) -> Result<Analysis, Stri
         sources.push(sf);
     }
     // Pass 2: the cross-file rules need the whole workspace at once.
-    findings.extend(graph::gn06(&sources));
     findings.extend(hot::gn10(&sources));
     findings.extend(expr::gn11(&sources));
     findings.extend(expr::gn12(&sources));
@@ -193,8 +188,6 @@ fn classify(root: &Path, path: &Path) -> FileContext {
     };
     let kind = match in_crate.first().copied() {
         Some("tests") => FileKind::Test,
-        Some("benches") => FileKind::Bench,
-        Some("build.rs") => FileKind::BuildScript,
         Some("src") => {
             if in_crate.get(1).copied() == Some("bin")
                 || in_crate.last().copied() == Some("main.rs")
@@ -206,12 +199,10 @@ fn classify(root: &Path, path: &Path) -> FileContext {
         }
         _ => FileKind::Lib,
     };
-    let is_crate_root = in_crate == ["src", "lib.rs"];
     FileContext {
         crate_name,
         rel_path: rel,
         kind,
-        is_crate_root,
     }
 }
 
@@ -225,21 +216,16 @@ mod tests {
         let c = classify(root, Path::new("/w/crates/des/src/lib.rs"));
         assert_eq!(c.crate_name, "des");
         assert_eq!(c.kind, FileKind::Lib);
-        assert!(c.is_crate_root);
 
         let c = classify(root, Path::new("/w/crates/bench/src/bin/run_all.rs"));
         assert_eq!(c.kind, FileKind::Bin);
-        assert!(!c.is_crate_root);
 
         let c = classify(root, Path::new("/w/crates/des/tests/properties.rs"));
         assert_eq!(c.kind, FileKind::Test);
 
-        let c = classify(root, Path::new("/w/crates/bench/benches/b.rs"));
-        assert_eq!(c.kind, FileKind::Bench);
-
         let c = classify(root, Path::new("/w/src/lib.rs"));
         assert_eq!(c.crate_name, "greednet");
-        assert!(c.is_crate_root);
+        assert_eq!(c.kind, FileKind::Lib);
 
         let c = classify(root, Path::new("/w/crates/cli/src/main.rs"));
         assert_eq!(c.kind, FileKind::Bin);

@@ -53,9 +53,9 @@ fn heading_extraction_sees_the_known_rules() {
     // changes shape, this fails rather than the sync test passing on two
     // empty sets.
     let documented = documented_ids(&lints_md());
-    assert!(documented.contains("GN01"), "{documented:?}");
+    assert!(documented.contains("GN08"), "{documented:?}");
     assert!(documented.contains("GN00"), "{documented:?}");
-    assert!(documented.len() >= 10, "{documented:?}");
+    assert!(documented.len() >= 8, "{documented:?}");
 }
 
 #[test]

@@ -2,74 +2,66 @@
 //! known-bad snippet that must fire and one allowed/compliant snippet
 //! that must not. A rule that stops firing on its bad fixture (or starts
 //! firing on its allowed one) is a regression in the analyzer itself.
+//! The mutation tests at the bottom prove each rule catches a one-line
+//! regression in compliant code, real workspace files included.
 
 use greednet_lint::{
-    check_file, expr, graph, hot, lexer, typerules, FileContext, FileKind, Finding, SourceFile,
+    check_file, expr, hot, lexer, typerules, FileContext, FileKind, Finding, SourceFile,
 };
 use std::path::Path;
 
 /// The per-rule fixture contexts: each bad snippet is checked *as if* it
 /// lived at a path/role where its rule applies.
 fn context_for(rule: &str) -> FileContext {
-    let (crate_name, rel_path, is_root) = match rule {
-        "GN01" => ("des", "crates/des/src/fixture.rs", false),
-        "GN02" => ("core", "crates/core/src/fixture.rs", false),
-        "GN03" => ("queueing", "crates/queueing/src/fixture.rs", false),
-        "GN04" => ("mechanisms", "crates/mechanisms/src/lib.rs", true),
-        "GN05" => ("runtime", "crates/runtime/src/fixture.rs", false),
-        "GN06" => ("core", "crates/core/src/fixture.rs", false),
-        "GN07" => ("numerics", "crates/numerics/src/fixture.rs", false),
-        "GN08" => ("telemetry", "crates/telemetry/src/fixture.rs", false),
-        "GN09" => ("des", "crates/des/src/fixture.rs", false),
-        "GN10" => ("des", "crates/des/src/fixture.rs", false),
-        "GN11" => ("des", "crates/des/src/fixture.rs", false),
-        "GN12" => ("bench", "crates/bench/src/fixture.rs", false),
-        "GN13" => ("des", "crates/des/src/fixture.rs", false),
-        "GN14" => ("serve", "crates/serve/src/fixture.rs", false),
-        "GN15" => ("serve", "crates/serve/src/fixture.rs", false),
+    let (crate_name, rel_path) = match rule {
+        "GN08" => ("telemetry", "crates/telemetry/src/fixture.rs"),
+        "GN10" | "GN11" | "GN13" => ("des", "crates/des/src/fixture.rs"),
+        "GN12" => ("bench", "crates/bench/src/fixture.rs"),
+        "GN14" | "GN15" => ("serve", "crates/serve/src/fixture.rs"),
         other => panic!("no fixture context for {other}"),
     };
     FileContext {
         crate_name: crate_name.to_string(),
         rel_path: rel_path.to_string(),
         kind: FileKind::Lib,
-        is_crate_root: is_root,
     }
 }
 
-fn check_fixture(kind: &str, rule: &str) -> Vec<Finding> {
+fn fixture_source(kind: &str, rule: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("fixtures")
         .join(kind)
         .join(format!("{}.rs", rule.to_lowercase()));
-    let src = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing fixture {}: {e}", path.display()));
+    std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing fixture {}: {e}", path.display()))
+}
+
+/// Runs `rule` over a one-file workspace holding `src` at `ctx`.
+fn run_rule(rule: &str, ctx: FileContext, src: &str) -> Vec<Finding> {
+    let files = [SourceFile::new(ctx, src)];
     match rule {
-        // The dataflow rules run over a file *set*, not check_file; the
-        // fixture is a one-file workspace.
-        "GN06" => graph::gn06(&[SourceFile::new(context_for(rule), &src)]),
-        // GN10 also reports HOT_PATHS table rows that match nothing in
-        // the analyzed set (anchored at line 0 in the analyzer source);
-        // for a synthetic one-file workspace only the code findings are
-        // the fixture's subject.
-        "GN10" => hot::gn10(&[SourceFile::new(context_for(rule), &src)])
+        // GN10 and GN13 also report table rows (HOT_PATHS,
+        // UNIT_ESCAPE_ALLOW) that match nothing in a one-file workspace,
+        // anchored at line 0 in the analyzer source; only code findings
+        // are the subject here.
+        "GN10" => hot::gn10(&files)
             .into_iter()
             .filter(|f| f.line != 0)
             .collect(),
-        "GN11" => expr::gn11(&[SourceFile::new(context_for(rule), &src)]),
-        "GN12" => expr::gn12(&[SourceFile::new(context_for(rule), &src)]),
-        // GN13 can also report stale UNIT_ESCAPE_ALLOW rows anchored at
-        // line 0 in the analyzer source; only code findings are the
-        // fixture's subject (the fixture path is not in the table, so
-        // none fire here — the filter is defensive).
-        "GN13" => typerules::gn13(&[SourceFile::new(context_for(rule), &src)])
+        "GN11" => expr::gn11(&files),
+        "GN12" => expr::gn12(&files),
+        "GN13" => typerules::gn13(&files)
             .into_iter()
             .filter(|f| f.line != 0)
             .collect(),
-        "GN14" => typerules::gn14(&[SourceFile::new(context_for(rule), &src)]),
-        "GN15" => typerules::gn15(&[SourceFile::new(context_for(rule), &src)]),
-        _ => check_file(&context_for(rule), &lexer::lex(&src)),
+        "GN14" => typerules::gn14(&files),
+        "GN15" => typerules::gn15(&files),
+        _ => check_file(&files[0].ctx, &files[0].lexed),
     }
+}
+
+fn check_fixture(kind: &str, rule: &str) -> Vec<Finding> {
+    run_rule(rule, context_for(rule), &fixture_source(kind, rule))
 }
 
 fn live<'a>(findings: &'a [Finding], rule: &str) -> Vec<&'a Finding> {
@@ -95,15 +87,7 @@ fn every_rule_has_both_fixtures() {
 #[test]
 fn bad_fixtures_fire_their_rule() {
     let expected_min = [
-        ("GN01", 4),
-        ("GN02", 2),
-        ("GN03", 4),
-        ("GN04", 1),
-        ("GN05", 2),
-        ("GN06", 2),
-        ("GN07", 4),
         ("GN08", 3),
-        ("GN09", 6),
         ("GN10", 4),
         ("GN11", 5),
         ("GN12", 4),
@@ -124,103 +108,41 @@ fn bad_fixtures_fire_their_rule() {
 
 #[test]
 fn bad_fixture_spans_point_at_the_offending_lines() {
-    // Spot-check exact file:line spans against the fixture sources.
-    let gn01 = check_fixture("bad", "GN01");
-    let lines: Vec<u32> = live(&gn01, "GN01").iter().map(|f| f.line).collect();
-    assert!(lines.contains(&3), "use HashMap line: {lines:?}");
-    assert!(lines.contains(&7), "HashMap::new line: {lines:?}");
-
-    let gn03 = check_fixture("bad", "GN03");
-    let lines: Vec<u32> = live(&gn03, "GN03").iter().map(|f| f.line).collect();
-    assert_eq!(lines, vec![4, 5, 7, 10], "unwrap/expect/panic!/todo! spans");
-
-    let gn04 = check_fixture("bad", "GN04");
-    assert_eq!(live(&gn04, "GN04")[0].line, 1, "GN04 anchors at line 1");
-
-    let gn06 = check_fixture("bad", "GN06");
-    let lines: Vec<u32> = live(&gn06, "GN06").iter().map(|f| f.line).collect();
-    assert_eq!(lines, vec![4, 12], "GN06 anchors at the entry fns");
-
-    let gn07 = check_fixture("bad", "GN07");
-    let lines: Vec<u32> = live(&gn07, "GN07").iter().map(|f| f.line).collect();
-    assert_eq!(lines, vec![6, 10, 16, 24], "sort/min/max/test-sort spans");
-
-    let gn08 = check_fixture("bad", "GN08");
-    let lines: Vec<u32> = live(&gn08, "GN08").iter().map(|f| f.line).collect();
-    assert_eq!(lines, vec![5, 6, 10], ".ok(); and let _ = spans");
-
-    let gn09 = check_fixture("bad", "GN09");
-    let lines: Vec<u32> = live(&gn09, "GN09").iter().map(|f| f.line).collect();
-    assert_eq!(lines, vec![4, 5, 6, 7, 10, 10], "lossy cast spans");
-
-    let gn10 = check_fixture("bad", "GN10");
-    let lines: Vec<u32> = live(&gn10, "GN10").iter().map(|f| f.line).collect();
-    assert_eq!(lines, vec![9, 19, 25, 30], "GN10 anchors at the hot fns");
-
-    let gn11 = check_fixture("bad", "GN11");
-    let lines: Vec<u32> = live(&gn11, "GN11").iter().map(|f| f.line).collect();
-    assert_eq!(
-        lines,
-        vec![6, 14, 19, 23, 27, 35],
-        "GN11 anchors at the split call sites"
-    );
-
-    let gn12 = check_fixture("bad", "GN12");
-    let lines: Vec<u32> = live(&gn12, "GN12").iter().map(|f| f.line).collect();
-    assert_eq!(
-        lines,
-        vec![7, 13, 20, 25],
-        "GN12 anchors at the reduction call sites"
-    );
-
-    let gn13 = check_fixture("bad", "GN13");
-    let lines: Vec<u32> = live(&gn13, "GN13").iter().map(|f| f.line).collect();
-    assert_eq!(
-        lines,
-        vec![15, 19, 25, 29],
-        "GN13 anchors at the raw-arithmetic sites (direct, .0, rebound, param)"
-    );
-
-    let gn14 = check_fixture("bad", "GN14");
-    let lines: Vec<u32> = live(&gn14, "GN14").iter().map(|f| f.line).collect();
-    assert_eq!(
-        lines,
-        vec![6, 7, 15],
-        "GN14 anchors at the missing field decls plus the stale exemption"
-    );
-
-    let gn15 = check_fixture("bad", "GN15");
-    let lines: Vec<u32> = live(&gn15, "GN15").iter().map(|f| f.line).collect();
-    assert_eq!(
-        lines,
-        vec![11, 11, 17, 21],
-        "GN15 anchors at the telemetry read-back sites"
-    );
-}
-
-#[test]
-fn gn06_diagnostic_prints_the_call_graph_path() {
-    // The panic-reachability message must show *how* the panic is
-    // reached: the fn chain plus the offending construct's file:line.
-    let gn06 = check_fixture("bad", "GN06");
-    let through_helper = live(&gn06, "GN06")
-        .into_iter()
-        .find(|f| f.line == 4)
-        .expect("entry fn `solve` flagged");
-    assert!(
-        through_helper
-            .message
-            .contains("solve → inner_step → .unwrap()"),
-        "path diagnostic missing: {}",
-        through_helper.message
-    );
-    assert!(
-        through_helper
-            .message
-            .contains("crates/core/src/fixture.rs:9"),
-        "panic-site span missing: {}",
-        through_helper.message
-    );
+    // Exact file:line spans against the fixture sources.
+    let expected: [(&str, &[u32], &str); 7] = [
+        ("GN08", &[5, 6, 10], ".ok(); and let _ = spans"),
+        ("GN10", &[9, 19, 25, 30], "GN10 anchors at the hot fns"),
+        (
+            "GN11",
+            &[6, 14, 19, 23, 27, 35],
+            "GN11 anchors at the split call sites",
+        ),
+        (
+            "GN12",
+            &[7, 13, 20, 25],
+            "GN12 anchors at the reduction call sites",
+        ),
+        (
+            "GN13",
+            &[15, 19, 25, 29],
+            "GN13 anchors at the raw-arithmetic sites (direct, .0, rebound, param)",
+        ),
+        (
+            "GN14",
+            &[6, 7, 15],
+            "GN14 anchors at the missing field decls plus the stale exemption",
+        ),
+        (
+            "GN15",
+            &[11, 11, 17, 21],
+            "GN15 anchors at the telemetry read-back sites",
+        ),
+    ];
+    for (rule, lines, what) in expected {
+        let findings = check_fixture("bad", rule);
+        let got: Vec<u32> = live(&findings, rule).iter().map(|f| f.line).collect();
+        assert_eq!(got, lines, "{what}");
+    }
 }
 
 #[test]
@@ -262,10 +184,7 @@ fn allowed_fixtures_are_clean() {
 fn allowed_fixtures_record_suppression_reasons() {
     // The annotated fixtures must show up as *suppressed* findings (the
     // rule still matched — an allow is visible, not invisible).
-    for rule in [
-        "GN01", "GN02", "GN03", "GN05", "GN06", "GN07", "GN08", "GN09", "GN10", "GN11", "GN12",
-        "GN13", "GN14", "GN15",
-    ] {
+    for rule in greednet_lint::rules::RULES.iter().map(|r| r.id) {
         let findings = check_fixture("allowed", rule);
         let suppressed: Vec<&Finding> = findings
             .iter()
@@ -281,16 +200,124 @@ fn allowed_fixtures_record_suppression_reasons() {
     }
 }
 
+/// Where a mutation test's compliant source comes from.
+enum Origin {
+    /// A real workspace file the rule guards (workspace-relative path).
+    Workspace(&'static str),
+    /// The rule's allowed fixture.
+    Fixture,
+}
+
+/// One-line mutations that must turn compliant code into a finding:
+/// `(rule, origin, line as written, mutated line)`. The line is matched
+/// after trimming and must occur exactly once in the source.
+const MUTATIONS: &[(&str, Origin, &str, &str)] = &[
+    (
+        "GN08",
+        Origin::Workspace("crates/serve/src/service.rs"),
+        r#"emit(&mut writer, &progress_record(id, "compute"))?;"#,
+        r#"emit(&mut writer, &progress_record(id, "compute")).ok();"#,
+    ),
+    (
+        "GN10",
+        Origin::Workspace("crates/des/src/calendar.rs"),
+        "item: s.item,",
+        "item: s.item.clone(),",
+    ),
+    (
+        "GN11",
+        Origin::Fixture,
+        "let _split_unused_reserved = master.split(4);",
+        "let reserved = master.split(4);",
+    ),
+    (
+        "GN12",
+        Origin::Workspace("crates/bench/src/experiments/e1.rs"),
+        "let mean_resid = det_mean(solved.iter().map(|(r, _)| *r));",
+        "let mean_resid = solved.iter().map(|(r, _)| *r).sum::<f64>();",
+    ),
+    (
+        "GN13",
+        Origin::Fixture,
+        "(p.arrival.get(), p.size.get())",
+        "(p.arrival.get() * 2.0, p.size.get())",
+    ),
+    (
+        "GN15",
+        Origin::Fixture,
+        "hit_total: m.hits.count(),",
+        "hit_total: m.hits.count() + 1,",
+    ),
+];
+
+#[test]
+fn mutation_of_compliant_code_fires_each_kept_rule() {
+    let root = greednet_lint::find_root(Path::new(env!("CARGO_MANIFEST_DIR")))
+        .expect("crates/lint lives inside the workspace");
+    for (rule, origin, line_text, mutant) in MUTATIONS {
+        let (ctx, src) = match origin {
+            Origin::Workspace(rel) => {
+                let src = std::fs::read_to_string(root.join(rel))
+                    .unwrap_or_else(|e| panic!("{rule}: cannot read {rel}: {e}"));
+                let crate_name = rel.split('/').nth(1).unwrap_or_default().to_string();
+                let ctx = FileContext {
+                    crate_name,
+                    rel_path: (*rel).to_string(),
+                    kind: FileKind::Lib,
+                };
+                (ctx, src)
+            }
+            Origin::Fixture => (context_for(rule), fixture_source("allowed", rule)),
+        };
+        let hits: Vec<usize> = src
+            .lines()
+            .enumerate()
+            .filter(|(_, l)| l.trim() == *line_text)
+            .map(|(i, _)| i)
+            .collect();
+        assert_eq!(
+            hits.len(),
+            1,
+            "{rule}: `{line_text}` must occur exactly once"
+        );
+        let line = u32::try_from(hits[0] + 1).expect("small file");
+        let mutated: String = src
+            .lines()
+            .enumerate()
+            .map(|(i, l)| {
+                let l = if i == hits[0] {
+                    l.replace(line_text, mutant)
+                } else {
+                    l.to_string()
+                };
+                format!("{l}\n")
+            })
+            .collect();
+
+        let before = run_rule(rule, ctx.clone(), &src);
+        assert!(
+            live(&before, rule).is_empty(),
+            "{rule}: unmutated source must be clean: {before:?}"
+        );
+        let after = run_rule(rule, ctx.clone(), &mutated);
+        // Reachability rules anchor at the entry fn and name the site
+        // in the message; the others anchor at the site itself.
+        let site = format!("{}:{line}", ctx.rel_path);
+        assert!(
+            live(&after, rule)
+                .iter()
+                .any(|f| f.line == line || f.message.contains(&site)),
+            "{rule}: mutating line {line} to `{mutant}` must fire there: {after:?}"
+        );
+    }
+}
+
 #[test]
 fn gn14_mutation_forgetting_a_keyed_field_fires() {
     // The completeness check must be *live*: take the compliant fixture,
     // delete the line that keys `seed`, and the analyzer must flag the
     // now-forgotten field at its declaration line.
-    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("fixtures")
-        .join("allowed")
-        .join("gn14.rs");
-    let src = std::fs::read_to_string(&path).expect("allowed gn14 fixture");
+    let src = fixture_source("allowed", "GN14");
     let mutated: String = src
         .lines()
         .filter(|l| !l.contains("s.seed"))
@@ -335,7 +362,7 @@ fn gn15_taint_path_names_the_probe_and_origin() {
 #[test]
 fn bad_fixture_is_not_quieted_by_wrong_rule_annotation() {
     // An allow for a different rule on the same line must not suppress.
-    let src = "let m = std::collections::HashMap::new(); // greednet-lint: allow(GN03, reason = \"wrong rule\")\n";
-    let findings = check_file(&context_for("GN01"), &lexer::lex(src));
-    assert_eq!(live(&findings, "GN01").len(), 1);
+    let src = "let _ = sink.flush(); // greednet-lint: allow(GN10, reason = \"wrong rule\")\n";
+    let findings = check_file(&context_for("GN08"), &lexer::lex(src));
+    assert_eq!(live(&findings, "GN08").len(), 1);
 }

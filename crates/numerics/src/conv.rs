@@ -1,26 +1,27 @@
 //! Checked numeric conversions for the deterministic crates.
 //!
-//! `as` casts silently truncate, wrap, or change sign; greednet-lint's
-//! GN09 bans them on integer targets in the deterministic crates because
-//! a wrapped index or seed corrupts the paper-vs-measured tables without
-//! a diagnostic. This module concentrates the conversions the workspace
-//! actually needs into named, documented helpers:
+//! `as` casts silently truncate, wrap, or change sign; the workspace's
+//! clippy cast lints (`cast_possible_truncation`, `cast_sign_loss`,
+//! `cast_possible_wrap`) reject them because a wrapped index or seed
+//! corrupts the paper-vs-measured tables without a diagnostic. This
+//! module concentrates the conversions the workspace actually needs into
+//! named, documented helpers:
 //!
 //! * the integer↔integer helpers are implemented with `try_from` and are
 //!   lossless on every platform Rust supports (the fallback arms are
 //!   unreachable there and merely make the functions total);
 //! * the float→integer helpers clamp instead of truncating arbitrarily,
-//!   and carry the workspace's only annotated GN09 sites, each with its
-//!   range proof.
+//!   and carry the workspace's only library `#[expect]`s on the cast
+//!   lints, each with its range proof.
 //!
-//! Keeping the two annotated casts *here* (rather than at call sites)
-//! means every new lossy cast elsewhere is a lint finding by default.
+//! Keeping the two audited casts *here* (rather than at call sites)
+//! means every new lossy cast elsewhere is a clippy error by default.
 
 /// Converts a container index or count to a `u64` seed/stream index.
 ///
 /// Lossless: `usize` is at most 64 bits on every supported platform, so
 /// the fallback arm is unreachable; it exists only to keep the function
-/// total without a panic path (GN03).
+/// total without a panic path.
 #[must_use]
 pub fn index_to_u64(i: usize) -> u64 {
     u64::try_from(i).unwrap_or(u64::MAX)
@@ -69,20 +70,28 @@ pub fn checked_pos(x: f64) -> Option<f64> {
 /// Truncates a non-negative float to a `usize`, clamping to
 /// `[0, usize::MAX]`. NaN (debug-asserted against) maps to 0.
 #[must_use]
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "clamped to [0, usize::MAX] first and NaN maps to 0 via clamp; truncation toward zero is the documented contract"
+)]
 pub fn f64_to_usize(x: f64) -> usize {
     debug_assert!(!x.is_nan(), "NaN converted to usize");
     let clamped = x.clamp(0.0, usize::MAX as f64);
-    // greednet-lint: allow(GN09, reason = "clamped to [0, usize::MAX] on the previous line and NaN maps to 0 via clamp; truncation toward zero is the documented contract")
     clamped as usize
 }
 
 /// Truncates a non-negative float to a `u64`, clamping to
 /// `[0, u64::MAX]`. NaN (debug-asserted against) maps to 0.
 #[must_use]
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "clamped to [0, u64::MAX] first and NaN maps to 0 via clamp; truncation toward zero is the documented contract"
+)]
 pub fn f64_to_u64(x: f64) -> u64 {
     debug_assert!(!x.is_nan(), "NaN converted to u64");
     let clamped = x.clamp(0.0, u64::MAX as f64);
-    // greednet-lint: allow(GN09, reason = "clamped to [0, u64::MAX] on the previous line and NaN maps to 0 via clamp; truncation toward zero is the documented contract")
     clamped as u64
 }
 

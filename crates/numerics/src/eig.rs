@@ -177,7 +177,8 @@ fn hqr(mut a: Matrix) -> Result<Vec<Complex>> {
         return Ok(vec![Complex::real(0.0); n]);
     }
 
-    let mut nn = n as isize - 1; // index of current trailing block end
+    // A Vec holds at most isize::MAX elements, so `n` never wraps.
+    let mut nn = n.cast_signed() - 1; // index of current trailing block end
     let mut t = 0.0f64; // accumulated exceptional shifts
     while nn >= 0 {
         let mut its = 0usize;

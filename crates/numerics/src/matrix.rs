@@ -191,11 +191,13 @@ impl Matrix {
     /// # Errors
     /// Returns [`NumericsError::ShapeMismatch`] for non-square matrices.
     pub fn is_nilpotent(&self, tol: f64) -> Result<bool> {
-        let n = u32::try_from(self.rows).map_err(|_| NumericsError::ShapeMismatch {
+        let out_of_range = |_| NumericsError::ShapeMismatch {
             detail: format!("matrix dimension {} exceeds u32 range", self.rows),
-        })?;
+        };
+        let n = u32::try_from(self.rows).map_err(out_of_range)?;
+        let exp = i32::try_from(self.rows).map_err(out_of_range)?;
         let p = self.pow(n)?;
-        Ok(p.max_abs() <= tol * (1.0 + self.max_abs().powi(self.rows as i32)))
+        Ok(p.max_abs() <= tol * (1.0 + self.max_abs().powi(exp)))
     }
 }
 

@@ -91,7 +91,10 @@ pub fn brent_max<F: FnMut(f64) -> f64>(mut f: F, a: f64, b: f64, tol: f64) -> Re
     let mut e: f64 = 0.0;
     let mut evals = 1usize;
 
-    #[allow(clippy::explicit_counter_loop)] // `evals` counts objective calls, not iterations
+    #[expect(
+        clippy::explicit_counter_loop,
+        reason = "`evals` counts objective calls, not iterations"
+    )]
     for _ in 0..4 * DEFAULT_MAX_ITER {
         let xm = 0.5 * (lo + hi);
         let tol1 = tol * x.abs() + 1e-15;

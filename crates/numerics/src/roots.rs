@@ -57,7 +57,7 @@ pub fn bisect<F: FnMut(f64) -> f64>(mut f: F, a: f64, b: f64, tol: f64) -> Resul
             fb: fhi,
         });
     }
-    #[allow(clippy::explicit_counter_loop)] // `evals` counts f-evaluations
+    #[expect(clippy::explicit_counter_loop, reason = "`evals` counts f-evaluations")]
     for _ in 0..4 * DEFAULT_MAX_ITER {
         let mid = 0.5 * (lo + hi);
         let fmid = check_finite("bisect f(mid)", f(mid))?;
@@ -120,7 +120,7 @@ pub fn brent<F: FnMut(f64) -> f64>(mut f: F, a: f64, b: f64, tol: f64) -> Result
     let mut d = b - a;
     let mut e = d;
 
-    #[allow(clippy::explicit_counter_loop)] // `evals` counts f-evaluations
+    #[expect(clippy::explicit_counter_loop, reason = "`evals` counts f-evaluations")]
     for _ in 0..4 * DEFAULT_MAX_ITER {
         if fb.signum() == fc.signum() {
             c = a;

@@ -1,4 +1,5 @@
-//! Equivalence guard for the GN07 comparator migration: every sort that
+//! Equivalence guard for the `total_cmp` comparator migration (the
+//! workspace's `clippy.toml` now disallows `partial_cmp`): every sort that
 //! moved from `partial_cmp(..).unwrap()` (or `.unwrap_or(Equal)`) to
 //! `f64::total_cmp` must order NaN-free data **bitwise identically** to
 //! the comparator it replaced. The two comparators differ only on NaN
@@ -13,6 +14,10 @@ use greednet_numerics::stats::quantile;
 use std::cmp::Ordering;
 
 /// The comparator the workspace used before the migration.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the legacy comparator is the reference these tests compare against"
+)]
 fn legacy(a: &f64, b: &f64) -> Ordering {
     a.partial_cmp(b).unwrap_or(Ordering::Equal)
 }
@@ -104,6 +109,11 @@ fn quantiles_are_unchanged_by_the_migration() {
             let pos = q * ((sorted.len() - 1) as f64);
             let (lo, hi) = (pos.floor(), pos.ceil());
             let frac = pos - lo;
+            #[expect(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "the legacy quantile's own indexing: pos lies in [0, len - 1]"
+            )]
             let legacy_val = sorted[lo as usize] * (1.0 - frac) + sorted[hi as usize] * frac;
             assert_eq!(
                 now.to_bits(),

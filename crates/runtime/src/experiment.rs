@@ -40,7 +40,10 @@ impl Budget {
     /// variance estimates remain defined.
     #[must_use]
     pub fn count(&self, base: usize) -> usize {
-        #[allow(clippy::cast_precision_loss)]
+        #[expect(
+            clippy::cast_precision_loss,
+            reason = "replication counts are far below 2^53, so the f64 is exact"
+        )]
         let scaled = greednet_numerics::conv::f64_to_usize((base as f64 * self.scale).ceil());
         scaled.clamp(2, base.max(2))
     }

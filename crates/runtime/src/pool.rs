@@ -29,6 +29,10 @@ pub fn available_threads() -> usize {
 ///
 /// # Panics
 /// Propagates a panic from any task (the scope joins all workers first).
+#[expect(
+    clippy::expect_used,
+    reason = "the atomic claim counter hands each index to exactly one worker and the scope joins them all, so every slot is filled; a propagated worker panic exits first"
+)]
 pub fn parallel_map_indexed<T, F>(threads: usize, tasks: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -71,7 +75,6 @@ where
     });
     slots
         .into_iter()
-        // greednet-lint: allow(GN03, reason = "the atomic claim counter hands each index to exactly one worker and the scope joins them all, so every slot is filled; a propagated worker panic exits above")
         .map(|slot| slot.expect("every task index was claimed exactly once"))
         .collect()
 }
@@ -89,6 +92,14 @@ where
 ///
 /// # Panics
 /// Propagates a panic from any task (the scope joins all workers first).
+#[expect(
+    clippy::expect_used,
+    reason = "same slot-claim invariant as the unprofiled pool above: each index is claimed once and all workers are joined before slots are read"
+)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "per-worker wall-clock accounting; the stats never touch the result path"
+)]
 pub fn parallel_map_indexed_profiled<T, F>(
     threads: usize,
     tasks: usize,
@@ -154,7 +165,6 @@ where
     stats.wall = wall_start.elapsed();
     let out = slots
         .into_iter()
-        // greednet-lint: allow(GN03, reason = "same slot-claim invariant as the unprofiled pool above: each index is claimed once and all workers are joined before slots are read")
         .map(|slot| slot.expect("every task index was claimed exactly once"))
         .collect();
     (out, stats)

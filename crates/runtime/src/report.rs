@@ -8,7 +8,7 @@
 
 use std::fmt::Write as _;
 
-use greednet_telemetry::{json_string, Telemetry};
+use greednet_telemetry::{json_f64, json_string, Telemetry};
 
 /// One table cell. Numeric cells carry both the value (emitted to JSON)
 /// and the display text (emitted to text/CSV), so experiments keep full
@@ -569,22 +569,6 @@ impl RunReport {
     }
 }
 
-/// Renders an `f64` as a JSON value (`null` for non-finite values).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        // Rust's default Display for f64 is shortest-roundtrip, which is
-        // both valid JSON and lossless.
-        let s = format!("{v}");
-        if s.contains(['.', 'e', 'E']) || s.contains("inf") {
-            s
-        } else {
-            format!("{s}.0")
-        }
-    } else {
-        "null".to_string()
-    }
-}
-
 /// Quotes a CSV field when it contains a delimiter, quote, or newline.
 fn csv_field(s: &str) -> String {
     if s.contains([',', '"', '\n', '\r']) {
@@ -635,13 +619,6 @@ mod tests {
         // NaN must become null, not invalid JSON.
         assert!(json.contains("null"));
         assert!(!json.contains("NaN"));
-    }
-
-    #[test]
-    fn json_floats_always_carry_a_decimal_marker() {
-        assert_eq!(super::json_f64(2.0), "2.0");
-        assert_eq!(super::json_f64(0.5), "0.5");
-        assert!(super::json_f64(1e300).contains(['.', 'e']));
     }
 
     #[test]

@@ -74,7 +74,7 @@ mod tests {
 
     #[test]
     fn child_seeds_are_distinct() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for root in [0u64, 1, 42, u64::MAX] {
             for i in 0..1000 {
                 assert!(

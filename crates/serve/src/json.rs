@@ -12,12 +12,14 @@
 //!   parser's stack.
 //!
 //! Objects preserve insertion order as a `Vec` of pairs rather than a
-//! hash map: iteration order stays deterministic (the workspace bans
-//! randomized-order containers in deterministic crates, GN01) and the
-//! canonicalizer re-sorts keys itself.
+//! hash map: iteration order stays deterministic (the workspace's
+//! `clippy.toml` bans randomized-order containers) and the canonicalizer
+//! re-sorts keys itself. Numbers render through
+//! [`greednet_telemetry::json_f64`], the same renderer the experiment
+//! reports use.
 
 use crate::error::ServeError;
-use greednet_telemetry::push_json_string;
+use greednet_telemetry::{json_f64, push_json_string};
 
 /// Maximum nesting depth the parser accepts.
 const MAX_DEPTH: u32 = 64;
@@ -110,7 +112,7 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(x) => out.push_str(&write_f64(*x)),
+            Json::Num(x) => out.push_str(&json_f64(*x)),
             Json::Str(s) => push_json_string(out, s),
             Json::Arr(items) => {
                 out.push('[');
@@ -136,23 +138,6 @@ impl Json {
             }
             Json::Raw(body) => out.push_str(body),
         }
-    }
-}
-
-/// Renders an `f64` as JSON: shortest-roundtrip `Display`, with a `.0`
-/// marker appended to integral values so the token stays a float, and
-/// `null` for non-finite values (mirrors the experiment-report emitter).
-#[must_use]
-pub fn write_f64(x: f64) -> String {
-    if x.is_finite() {
-        let s = format!("{x}");
-        if s.contains(['.', 'e', 'E']) {
-            s
-        } else {
-            format!("{s}.0")
-        }
-    } else {
-        "null".to_string()
     }
 }
 
@@ -471,13 +456,6 @@ mod tests {
         let v = parse(src).unwrap();
         assert_eq!(v.to_compact(), src);
         assert_eq!(parse(&v.to_compact()).unwrap(), v);
-    }
-
-    #[test]
-    fn float_writer_keeps_decimal_marker() {
-        assert_eq!(write_f64(2.0), "2.0");
-        assert_eq!(write_f64(0.5), "0.5");
-        assert_eq!(write_f64(f64::NAN), "null");
     }
 
     #[test]

@@ -40,7 +40,7 @@
 
 use crate::canon::{canonical_key, key_hex};
 use crate::error::ServeError;
-use crate::json::{parse, write_f64, Json};
+use crate::json::{parse, Json};
 use crate::ops::{
     canonical_alloc_name, canonical_kind_name, canonical_largen_name, canonical_service_json,
     ExpSpec, LargenSpec, NashSpec, ProtectSpec, SimulateSpec, TableSpec, UtilityParam,
@@ -650,7 +650,7 @@ pub fn stats_record(id: Option<&str>, stats: &crate::cache::CacheStats) -> Strin
         ("evictions".into(), Json::Num(u64_to_num(stats.evictions))),
         ("entries".into(), Json::Num(usize_to_num(stats.entries))),
         ("capacity".into(), Json::Num(usize_to_num(stats.capacity))),
-        ("hit_rate".into(), Json::Raw(write_f64(stats.hit_rate()))),
+        ("hit_rate".into(), Json::Num(stats.hit_rate())),
     ])
     .to_compact()
 }

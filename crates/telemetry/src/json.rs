@@ -1,11 +1,13 @@
-//! The workspace's one JSON string escaper.
+//! The workspace's one JSON string escaper and float renderer.
 //!
 //! Every hand-rolled JSON writer (run reports, the analyzer's JSON/SARIF
 //! reports, the service's records, bench reports) quotes strings through
 //! this module, so they all agree on the escaping: `"` and `\` are
 //! backslash-escaped, `\n`/`\r`/`\t` use their short forms, and any other
 //! control character becomes `\u00XX`. Everything else, non-ASCII
-//! included, is written through verbatim.
+//! included, is written through verbatim. Run reports and the service's
+//! records also share [`json_f64`], so a number renders to the same
+//! bytes in both.
 
 use std::fmt::Write as _;
 
@@ -37,9 +39,36 @@ pub fn json_string(s: &str) -> String {
     out
 }
 
+/// Renders an `f64` as a JSON number: shortest-roundtrip `Display`, with
+/// a `.0` marker appended to integral values so the token stays a float,
+/// and `null` for non-finite values.
+#[must_use]
+pub fn json_f64(x: f64) -> String {
+    if x.is_finite() {
+        let s = format!("{x}");
+        if s.contains(['.', 'e', 'E']) {
+            s
+        } else {
+            format!("{s}.0")
+        }
+    } else {
+        "null".to_string()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn floats_keep_a_decimal_marker_and_non_finite_is_null() {
+        assert_eq!(json_f64(2.0), "2.0");
+        assert_eq!(json_f64(0.5), "0.5");
+        assert_eq!(json_f64(-0.25), "-0.25");
+        assert!(json_f64(1e300).contains(['.', 'e']));
+        assert_eq!(json_f64(f64::NAN), "null");
+        assert_eq!(json_f64(f64::INFINITY), "null");
+    }
 
     #[test]
     fn escapes_quotes_backslashes_and_control_characters() {

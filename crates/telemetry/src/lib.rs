@@ -26,10 +26,13 @@
 //!    payload; `Telemetry` exists precisely so runners can carry it
 //!    alongside (not inside) their reproducible output.
 //!
-//! [`json`] holds the one JSON string escaper every report writer in the
-//! workspace shares.
+//! [`json`] holds the one JSON string escaper and float renderer every
+//! report writer in the workspace shares.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
@@ -39,7 +42,7 @@ pub mod probe;
 pub mod profile;
 pub mod trace;
 
-pub use json::{json_string, push_json_string};
+pub use json::{json_f64, json_string, push_json_string};
 pub use metrics::{Counter, Gauge, Log2Histogram, MetricsProbe, SimMetrics};
 pub use probe::{
     CalendarEvent, CalendarEventKind, NoopProbe, PacketEvent, PacketEventKind, Probe, SolverEvent,

@@ -140,16 +140,25 @@ impl Log2Histogram {
             return Some(LOG2_BUCKETS - 1);
         }
         let bits = value.to_bits();
-        #[allow(clippy::cast_possible_truncation)]
         let biased = ((bits >> 52) & 0x7ff) as i32;
         let exp = biased - 1023; // subnormals (biased 0) clamp below anyway
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_possible_wrap,
+            reason = "LOG2_BUCKETS is a small constant"
+        )]
         let idx = (exp + EXP_OFFSET).clamp(0, LOG2_BUCKETS as i32 - 1);
-        #[allow(clippy::cast_sign_loss)]
+        #[expect(clippy::cast_sign_loss, reason = "clamped to [0, LOG2_BUCKETS) above")]
         Some(idx as usize)
     }
 
     /// Lower and upper bound of bucket `i`: `[2^(i-32), 2^(i-31))`.
     #[must_use]
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        reason = "bucket indices are below LOG2_BUCKETS"
+    )]
     pub fn bucket_bounds(i: usize) -> (f64, f64) {
         let lo = (i as i32 - EXP_OFFSET).clamp(-1022, 1023);
         ((lo as f64).exp2(), (lo as f64 + 1.0).exp2())
@@ -230,7 +239,12 @@ impl Log2Histogram {
         if self.count == 0 || !(0.0..=1.0).contains(&q) {
             return None;
         }
-        #[allow(clippy::cast_precision_loss, clippy::cast_sign_loss)]
+        #[expect(
+            clippy::cast_precision_loss,
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "q in [0, 1], so the rank lies in [0, count] before the clamp"
+        )]
         let target = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut seen = self.zero;
         if target <= seen {
@@ -274,7 +288,7 @@ impl Log2Histogram {
             .unwrap_or(1)
             .max(1);
         for (lo, hi, n) in self.nonzero_buckets() {
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+            #[expect(clippy::cast_possible_truncation, reason = "bar length is at most 40")]
             let bar = ((n * 40).div_ceil(peak)) as usize;
             let label = if lo == 0.0 && hi == 0.0 {
                 "         0        ".to_string()
@@ -462,7 +476,10 @@ impl Probe for MetricsProbe {
         match event.kind {
             PacketEventKind::Arrival { .. } => {
                 self.metrics.arrivals[event.user].inc();
-                #[allow(clippy::cast_precision_loss)]
+                #[expect(
+                    clippy::cast_precision_loss,
+                    reason = "queue lengths are far below 2^53, so the f64 is exact"
+                )]
                 self.metrics.occupancy.record(event.queue_len as f64);
                 if event.queue_len == 0 {
                     self.busy_since = event.time;

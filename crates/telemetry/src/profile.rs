@@ -7,6 +7,10 @@
 //! carry timing data *alongside* their reproducible output (the
 //! `RunReport` telemetry side-channel in `greednet-runtime`) without
 //! contaminating it.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the profiler owns the wall clock; its readings stay in the telemetry side channel"
+)]
 
 use std::time::{Duration, Instant};
 

@@ -25,7 +25,7 @@ fn main() {
 
     println!("Fair Share priority table (paper Table 1) for rates {rates:?}\n");
     let table = priority_table(&rates);
-    let letters: Vec<char> = (0..n).map(|k| (b'A' + (k as u8 % 26)) as char).collect();
+    let letters: Vec<char> = ('A'..='Z').cycle().take(n).collect();
 
     print!("{:<6}", "user");
     for l in &letters {

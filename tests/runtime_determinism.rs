@@ -15,7 +15,7 @@ fn registry_ids_are_unique_and_all_experiments_run_on_a_tiny_budget() {
     let reg = registry();
     assert_eq!(reg.len(), 20, "T1 + E1..E18 (E10 split in two)");
     let ids = reg.ids();
-    let unique: std::collections::HashSet<_> = ids.iter().collect();
+    let unique: std::collections::BTreeSet<_> = ids.iter().collect();
     assert_eq!(unique.len(), ids.len(), "duplicate experiment id");
     let c = ctx(3, 2);
     for exp in reg.iter() {

@@ -124,7 +124,7 @@ fn sim_trace_is_schema_valid_jsonl() {
     sim.run_probed(d.as_mut(), &mut trace).expect("probed");
     let jsonl = trace.to_jsonl();
     assert!(!jsonl.is_empty());
-    let mut kinds = std::collections::HashSet::new();
+    let mut kinds = std::collections::BTreeSet::new();
     for line in jsonl.lines() {
         assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
         assert_eq!(line.matches('{').count(), 1, "flat object: {line}");
