@@ -52,7 +52,7 @@ impl Experiment for E13Mg1 {
                     .build()
                     .expect("valid config");
                 let sim = Simulator::new(cfg).expect("simulator");
-                let r = sim.run(&mut Fifo).expect("simulate");
+                let r = sim.run(&mut Fifo::default()).expect("simulate");
                 (dist, expect, r.total_mean_queue)
             });
         let mut t = Table::new(&["service", "cs2", "P-K total", "simulated", "rel.err"]);

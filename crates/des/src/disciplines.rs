@@ -19,7 +19,7 @@ mod tests {
 
     #[test]
     fn old_paths_still_resolve_under_the_qdisc_trait() {
-        let boxed: Box<dyn QDisc> = Box::new(Fifo);
+        let boxed: Box<dyn QDisc> = Box::new(Fifo::default());
         assert_eq!(boxed.name(), "FIFO");
         assert_eq!(ProcessorSharing.name(), "PS");
     }

@@ -4,17 +4,19 @@
 //! restructured in the minim style: entity reactions (source fires, ACK
 //! deliveries) schedule typed [`Cmd`]s through a [`Context`] into an
 //! [`EventList`], which the engine commits to the [`EventCalendar`]
-//! after each dispatch. Between events, every active packet's remaining
-//! work drains at the rate assigned by the `QDisc`'s share vector.
+//! after each dispatch. Between events, remaining work drains from the
+//! packet the `QDisc` serves, or from every active packet at the rate its
+//! share vector assigns when the discipline splits the server.
 //!
 //! # Event structure
 //!
 //! Three things can happen next, and the engine takes the earliest:
 //!
-//! 1. the earliest **completion** under the current shares — a *derived*
-//!    event recomputed from the bottleneck's `peek_completion` after every
-//!    state change (shares move at every event under
-//!    processor-sharing-style disciplines, so a scheduled completion
+//! 1. the earliest **completion** — a *derived* event recomputed from
+//!    the bottleneck's `peek_completion` after every state change: the
+//!    served packet's completion for single-server disciplines, the
+//!    earliest under the share vector for split ones (shares move at
+//!    every event under processor sharing, so a scheduled completion
 //!    would be stale the moment it was pushed);
 //! 2. the earliest **calendar command** (open-loop `Fire`s and
 //!    closed-loop `Ack`s);
@@ -202,7 +204,8 @@ impl Context<'_> {
     }
 }
 
-/// What a run produces: the aggregate statistics plus per-flow records.
+/// What a run produces: the aggregate statistics, per-flow records, and
+/// the run's peak backlog and calendar depth.
 #[derive(Debug, Clone)]
 pub struct EngineReport {
     /// The aggregate statistics (same shape as the legacy engine's).
@@ -210,6 +213,11 @@ pub struct EngineReport {
     /// One record per source, in user order (window/ACK/mark fields are
     /// only populated for closed-loop flows).
     pub flows: Vec<FlowRecord>,
+    /// Largest number of packets in the switch at any event (the peak
+    /// backlog; grows without bound under overload).
+    pub max_active: usize,
+    /// Largest number of pending calendar commands after any commit.
+    pub max_calendar: usize,
 }
 
 /// The event-calendar engine.
@@ -322,24 +330,14 @@ impl Engine {
                 }
             }
         }
-        commit(&mut pending, &mut calendar, probe);
+        let mut max_calendar = commit(&mut pending, &mut calendar, probe);
 
-        qdisc.shares(
-            &bottleneck.active,
-            SimTime::raw(now),
-            &mut bottleneck.shares,
-        );
+        bottleneck.serve(qdisc, SimTime::raw(now));
         if P::ENABLED {
-            emit_share_transitions(
-                &bottleneck.active,
-                &bottleneck.shares,
-                &mut serving,
-                now,
-                probe,
-            );
+            emit_share_transitions(&bottleneck, &mut serving, now, probe);
         }
         loop {
-            // Earliest completion under current shares (derived event)
+            // Earliest completion of the served packets (derived event)
             // vs earliest calendar command, clamped at the horizon.
             let (t_done, done_idx) = bottleneck.peek_completion(now);
             let t_cal = calendar.peek_time().map_or(f64::INFINITY, SimTime::get);
@@ -371,20 +369,10 @@ impl Engine {
             ) {
                 break;
             }
-            commit(&mut pending, &mut calendar, probe);
-            qdisc.shares(
-                &bottleneck.active,
-                SimTime::raw(now),
-                &mut bottleneck.shares,
-            );
+            max_calendar = max_calendar.max(commit(&mut pending, &mut calendar, probe));
+            bottleneck.serve(qdisc, SimTime::raw(now));
             if P::ENABLED {
-                emit_share_transitions(
-                    &bottleneck.active,
-                    &bottleneck.shares,
-                    &mut serving,
-                    now,
-                    probe,
-                );
+                emit_share_transitions(&bottleneck, &mut serving, now, probe);
             }
         }
 
@@ -394,7 +382,12 @@ impl Engine {
             .enumerate()
             .map(|(u, s)| s.flow_record(u))
             .collect();
-        Ok(EngineReport { result, flows })
+        Ok(EngineReport {
+            result,
+            flows,
+            max_active: bottleneck.peak,
+            max_calendar,
+        })
     }
 
     /// Dispatches the event selected by the main loop: the earliest
@@ -425,9 +418,8 @@ impl Engine {
         let cfg = &self.config;
         if t_done <= t_cal {
             // Departure.
-            let mut pkt = bottleneck.active.swap_remove(done_idx);
+            let mut pkt = bottleneck.depart(done_idx);
             pkt.remaining = Work::ZERO;
-            bottleneck.counts[pkt.user] -= 1;
             qdisc.on_departure(&pkt, SimTime::raw(now));
             if P::ENABLED {
                 probe.on_packet(&PacketEvent {
@@ -492,7 +484,6 @@ impl Engine {
                             remaining: Work::raw(size),
                         };
                         *next_id += 1;
-                        bottleneck.counts[source] += 1;
                         o.sent += 1;
                         qdisc.on_arrival(&pkt, SimTime::raw(now));
                         if P::ENABLED {
@@ -504,7 +495,7 @@ impl Engine {
                                 kind: PacketEventKind::Arrival { size },
                             });
                         }
-                        bottleneck.active.push(pkt);
+                        bottleneck.admit(pkt);
                         let gap = o.next_gap();
                         let mut ctx = Context {
                             now: SimTime::raw(now),
@@ -572,7 +563,6 @@ fn fill_window<P: Probe>(
             remaining: Work::raw(size),
         };
         *next_id += 1;
-        bottleneck.counts[source] += 1;
         c.on_sent();
         qdisc.on_arrival(&pkt, SimTime::raw(now));
         if P::ENABLED {
@@ -584,14 +574,19 @@ fn fill_window<P: Probe>(
                 kind: PacketEventKind::Arrival { size },
             });
         }
-        bottleneck.active.push(pkt);
+        bottleneck.admit(pkt);
     }
 }
 
 /// Commits buffered commands to the calendar (insertion order, so the
-/// calendar's tie-breaking sequence numbers follow schedule order).
+/// calendar's tie-breaking sequence numbers follow schedule order) and
+/// returns the number of pending commands.
 // gn:hot(amortized)
-fn commit<P: Probe>(pending: &mut EventList, calendar: &mut EventCalendar<Cmd>, probe: &mut P) {
+fn commit<P: Probe>(
+    pending: &mut EventList,
+    calendar: &mut EventCalendar<Cmd>,
+    probe: &mut P,
+) -> usize {
     for (time, cmd) in pending.drain() {
         let seq = calendar.schedule(time, cmd);
         if P::ENABLED {
@@ -602,6 +597,7 @@ fn commit<P: Probe>(pending: &mut EventList, calendar: &mut EventCalendar<Cmd>, 
             });
         }
     }
+    calendar.len()
 }
 
 /// The statistics integrator, ported op-for-op from the drain-loop
@@ -755,17 +751,16 @@ impl Stats {
 /// Preemptions are emitted before starts; both follow active-set order,
 /// so the event stream is deterministic.
 // gn:hot(amortized)
-pub(crate) fn emit_share_transitions<P: Probe>(
-    active: &[ActivePacket],
-    shares: &[f64],
+fn emit_share_transitions<P: Probe>(
+    bottleneck: &Bottleneck,
     serving: &mut Vec<u64>,
     now: f64,
     probe: &mut P,
 ) {
+    let active = &bottleneck.active;
     let queue_len = active.len();
-    let share_of = |i: usize| shares.get(i).copied().unwrap_or(0.0);
     for (i, p) in active.iter().enumerate() {
-        if share_of(i) <= 0.0 && serving.contains(&p.id) {
+        if bottleneck.share(i) <= 0.0 && serving.contains(&p.id) {
             probe.on_packet(&PacketEvent {
                 time: now,
                 user: p.user,
@@ -776,7 +771,7 @@ pub(crate) fn emit_share_transitions<P: Probe>(
         }
     }
     for (i, p) in active.iter().enumerate() {
-        if share_of(i) > 0.0 && !serving.contains(&p.id) {
+        if bottleneck.share(i) > 0.0 && !serving.contains(&p.id) {
             probe.on_packet(&PacketEvent {
                 time: now,
                 user: p.user,
@@ -791,7 +786,7 @@ pub(crate) fn emit_share_transitions<P: Probe>(
         active
             .iter()
             .enumerate()
-            .filter(|&(i, _)| share_of(i) > 0.0)
+            .filter(|&(i, _)| bottleneck.share(i) > 0.0)
             .map(|(_, p)| p.id),
     );
 }
@@ -848,7 +843,7 @@ mod tests {
     #[test]
     fn closed_loop_flow_keeps_window_in_flight_and_completes_work() {
         let engine = Engine::new(closed_cfg(1, Some(4), 2_000.0)).unwrap();
-        let report = engine.run(&mut Fifo).unwrap();
+        let report = engine.run(&mut Fifo::default()).unwrap();
         let flow = &report.flows[0];
         assert!(flow.sent > 100, "sent {}", flow.sent);
         // ACK-clocked: all but the in-flight window is acknowledged.
@@ -869,12 +864,12 @@ mod tests {
         let aggressive = {
             let mut cfg = closed_cfg(2, None, 3_000.0);
             cfg.seed = 11;
-            Engine::new(cfg).unwrap().run(&mut Fifo).unwrap()
+            Engine::new(cfg).unwrap().run(&mut Fifo::default()).unwrap()
         };
         let marked = {
             let mut cfg = closed_cfg(2, Some(3), 3_000.0);
             cfg.seed = 11;
-            Engine::new(cfg).unwrap().run(&mut Fifo).unwrap()
+            Engine::new(cfg).unwrap().run(&mut Fifo::default()).unwrap()
         };
         // Without marking the windows grow to max; with it, AIMD holds
         // them down and the queue stays shorter.
@@ -912,11 +907,14 @@ mod tests {
     fn probe_does_not_change_closed_loop_results() {
         use greednet_telemetry::MetricsProbe;
         let cfg = closed_cfg(2, Some(3), 1_500.0);
-        let a = Engine::new(cfg.clone()).unwrap().run(&mut Fifo).unwrap();
+        let a = Engine::new(cfg.clone())
+            .unwrap()
+            .run(&mut Fifo::default())
+            .unwrap();
         let mut probe = MetricsProbe::new(2);
         let b = Engine::new(cfg)
             .unwrap()
-            .run_probed(&mut Fifo, &mut probe)
+            .run_probed(&mut Fifo::default(), &mut probe)
             .unwrap();
         assert_eq!(a.result.mean_queue, b.result.mean_queue);
         assert_eq!(a.result.events, b.result.events);
@@ -931,6 +929,56 @@ mod tests {
         assert!(m.marks.get() - marks < 70, "{} vs {marks}", m.marks.get());
         assert!(m.schedules.get() >= m.fires.get());
         assert!(m.fires.get() > 0);
+    }
+
+    #[test]
+    fn report_peaks_match_across_probes_and_stay_small_at_stable_load() {
+        use greednet_telemetry::MetricsProbe;
+        // E9-class mix at load 0.65: one pending Fire per source, and a
+        // backlog that stays a few dozen packets at most.
+        let cfg = EngineConfig::open_loop(&[0.08, 0.22, 0.35], 20_000.0, 3);
+        let engine = Engine::new(cfg).unwrap();
+        let mut q = StartTimeFairQueueing::new(3).unwrap();
+        let plain = engine.run(&mut q).unwrap();
+        let mut q = StartTimeFairQueueing::new(3).unwrap();
+        let probed = engine
+            .run_probed(&mut q, &mut MetricsProbe::new(3))
+            .unwrap();
+        assert_eq!(
+            (plain.max_active, plain.max_calendar),
+            (probed.max_active, probed.max_calendar)
+        );
+        assert_eq!(plain.max_calendar, 3);
+        assert!(
+            (5..60).contains(&plain.max_active),
+            "max_active {}",
+            plain.max_active
+        );
+    }
+
+    #[test]
+    fn report_peaks_track_overload_backlog_and_ack_depth() {
+        // A blaster at twice capacity: the backlog grows by about
+        // (load - 1) packets per unit time.
+        let mut cfg = EngineConfig::open_loop(&[0.1, 1.9], 5_000.0, 4);
+        cfg.allow_overload = true;
+        let report = Engine::new(cfg).unwrap().run(&mut Fifo::default()).unwrap();
+        assert!(
+            report.max_active > 4_000,
+            "max_active {}",
+            report.max_active
+        );
+        // Closed-loop ACKs in flight deepen the calendar past one entry
+        // per source.
+        let report = Engine::new(closed_cfg(2, Some(4), 2_000.0))
+            .unwrap()
+            .run(&mut Fifo::default())
+            .unwrap();
+        assert!(
+            report.max_calendar > 2,
+            "max_calendar {}",
+            report.max_calendar
+        );
     }
 
     #[test]

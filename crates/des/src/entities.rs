@@ -17,17 +17,19 @@
 //!   multiplicatively; clean ACKs grow it additively (AIMD), so the mix
 //!   self-regulates instead of offering a fixed load.
 //!
-//! The `Bottleneck` entity owns the active-packet set and the share
-//! vector its [`QDisc`](crate::qdisc::QDisc) writes; its next completion
-//! is a *derived* event (recomputed from shares after every state
-//! change), not a calendar entry — see `crate::calendar`.
+//! The `Bottleneck` entity owns the active-packet set and what its
+//! [`QDisc`] serves: one packet, or a share vector.
+//! Its next completion is a *derived* event (recomputed from the served
+//! packet or the shares after every state change), not a calendar entry
+//! — see `crate::calendar`.
 
 use crate::error::DesError;
-use crate::qdisc::ActivePacket;
+use crate::qdisc::{ActivePacket, QDisc, Service};
 use crate::rng::ExpStream;
-use crate::units::{Rate, SimTime};
+use crate::units::{Rate, SimTime, Work};
 use crate::Result;
 use greednet_numerics::conv;
+use std::collections::VecDeque;
 
 /// A command in flight on the event calendar.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -293,12 +295,39 @@ impl SourceState {
     }
 }
 
-/// The switch: the active-packet set, the share vector its `QDisc`
-/// writes, per-user counts, and the ECN marking threshold.
+/// What the bottleneck serves between two events.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Served {
+    /// Nothing is active.
+    Idle,
+    /// The packet at this index of `active` holds the whole server.
+    One(usize),
+    /// The server is split by the `shares` vector.
+    Split,
+}
+
+/// Slot-index entry of a packet id that has left the system.
+const VACANT: usize = usize::MAX;
+
+/// The switch: the active-packet set, what its `QDisc` serves, per-user
+/// counts, and the ECN marking threshold.
+///
+/// Packets enter through [`Bottleneck::admit`] and leave through
+/// [`Bottleneck::depart`], which keep a slot index from packet id to
+/// position in `active`. The engine numbers packets consecutively, so
+/// the index is a deque over the ids from the oldest active packet to
+/// the newest: a [`Service::One`] answer resolves in O(1).
 #[derive(Debug)]
 pub(crate) struct Bottleneck {
     pub active: Vec<ActivePacket>,
-    pub shares: Vec<f64>,
+    shares: Vec<f64>,
+    served: Served,
+    /// `slots[k]` is the position in `active` of packet id `base + k`,
+    /// or [`VACANT`] once it has left.
+    slots: VecDeque<usize>,
+    base: u64,
+    /// Largest active-set size so far.
+    pub peak: usize,
     pub counts: Vec<usize>,
     pub marking_threshold: Option<usize>,
 }
@@ -308,41 +337,153 @@ impl Bottleneck {
         Bottleneck {
             active: Vec::new(),
             shares: Vec::new(),
+            served: Served::Idle,
+            slots: VecDeque::new(),
+            base: 0,
+            peak: 0,
             counts: vec![0usize; n],
             marking_threshold,
         }
     }
 
-    /// The earliest completion time under the current shares, as
+    /// Offset of packet `id` in the slot index, if `id` is not below it.
+    // gn:hot
+    fn offset(&self, id: u64) -> Option<usize> {
+        usize::try_from(id.checked_sub(self.base)?).ok()
+    }
+
+    /// Position in `active` of packet `id`, if this bottleneck holds it.
+    // gn:hot
+    fn position(&self, id: u64) -> Option<usize> {
+        let slot = *self.slots.get(self.offset(id)?)?;
+        (slot != VACANT).then_some(slot)
+    }
+
+    // gn:hot
+    fn set_slot(&mut self, id: u64, pos: usize) {
+        if let Some(k) = self.offset(id) {
+            if let Some(slot) = self.slots.get_mut(k) {
+                *slot = pos;
+            }
+        }
+    }
+
+    /// Adds `pkt` to the active set. The engine numbers packets
+    /// consecutively from 0, so `pkt.id` extends the slot window by one;
+    /// an id out of that sequence stays unindexed, and answers naming it
+    /// fall back to `shares`.
+    // gn:hot(amortized)
+    pub fn admit(&mut self, pkt: ActivePacket) {
+        if pkt.id == self.base + conv::index_to_u64(self.slots.len()) {
+            self.slots.push_back(self.active.len());
+        }
+        self.counts[pkt.user] += 1;
+        self.active.push(pkt);
+        self.peak = self.peak.max(self.active.len());
+    }
+
+    /// Removes and returns the packet at `idx` (`swap_remove` order, so
+    /// the active set is ordered exactly as before the slot index).
+    // gn:hot
+    pub fn depart(&mut self, idx: usize) -> ActivePacket {
+        let pkt = self.active.swap_remove(idx);
+        self.counts[pkt.user] -= 1;
+        self.set_slot(pkt.id, VACANT);
+        if let Some(moved) = self.active.get(idx).map(|p| p.id) {
+            self.set_slot(moved, idx);
+        }
+        while self.slots.front() == Some(&VACANT) {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        pkt
+    }
+
+    /// Asks `qdisc` what to serve until the next event: the named packet
+    /// when it answers [`Service::One`] with an id this bottleneck holds,
+    /// nothing when it answers [`Service::Idle`] and nothing is active,
+    /// and otherwise the share vector it writes.
+    // gn:hot(amortized)
+    pub fn serve(&mut self, qdisc: &mut dyn QDisc, now: SimTime) {
+        self.served = match qdisc.service(now) {
+            Service::One(id) => self.position(id).map_or(Served::Split, Served::One),
+            Service::Idle if self.active.is_empty() => Served::Idle,
+            Service::Idle | Service::Split => Served::Split,
+        };
+        if self.served == Served::Split {
+            qdisc.shares(&self.active, now, &mut self.shares);
+        }
+    }
+
+    /// The service share of the packet at `idx` until the next event.
+    // gn:hot
+    pub fn share(&self, idx: usize) -> f64 {
+        match self.served {
+            Served::Idle => 0.0,
+            Served::One(i) => {
+                if i == idx {
+                    1.0
+                } else {
+                    0.0
+                }
+            }
+            Served::Split => self.shares.get(idx).copied().unwrap_or(0.0),
+        }
+    }
+
+    /// The earliest completion time under the current service, as
     /// `(time, index)` — `(∞, usize::MAX)` when nothing is draining.
     ///
-    /// This is the engine's *derived* event: the exact scan (strict `<`,
-    /// first index wins) of the pre-calendar engine, preserved
-    /// op-for-op for bitwise equivalence.
+    /// This is the engine's *derived* event. A single served packet
+    /// completes at `now + remaining`, bit for bit the share scan's
+    /// `now + remaining / 1.0`; a split keeps the exact scan (strict `<`,
+    /// first index wins) of the pre-calendar engine.
     // gn:hot
     pub fn peek_completion(&self, now: f64) -> (f64, usize) {
         let mut t_done = f64::INFINITY;
         let mut done_idx = usize::MAX;
-        for (i, p) in self.active.iter().enumerate() {
-            let s = self.shares.get(i).copied().unwrap_or(0.0);
-            if s > 0.0 {
-                let t = now + p.remaining.get() / s;
-                if t < t_done {
-                    t_done = t;
-                    done_idx = i;
+        match self.served {
+            Served::Idle => {}
+            Served::One(i) => {
+                if let Some(p) = self.active.get(i) {
+                    (t_done, done_idx) = (now + p.remaining.get(), i);
+                }
+            }
+            Served::Split => {
+                for (i, p) in self.active.iter().enumerate() {
+                    let s = self.shares.get(i).copied().unwrap_or(0.0);
+                    if s > 0.0 {
+                        let t = now + p.remaining.get() / s;
+                        if t < t_done {
+                            t_done = t;
+                            done_idx = i;
+                        }
+                    }
                 }
             }
         }
         (t_done, done_idx)
     }
 
-    /// Drains `share × dt` of remaining work from every served packet.
+    /// Drains `share × dt` of remaining work from every served packet
+    /// (`dt` itself from a single served packet, the same bits as
+    /// `1.0 × dt`).
     // gn:hot
     pub fn drain(&mut self, dt: f64) {
-        for (i, p) in self.active.iter_mut().enumerate() {
-            let s = self.shares.get(i).copied().unwrap_or(0.0);
-            if s > 0.0 {
-                p.remaining -= crate::units::Work::raw(s * dt);
+        match self.served {
+            Served::Idle => {}
+            Served::One(i) => {
+                if let Some(p) = self.active.get_mut(i) {
+                    p.remaining -= Work::raw(dt);
+                }
+            }
+            Served::Split => {
+                for (i, p) in self.active.iter_mut().enumerate() {
+                    let s = self.shares.get(i).copied().unwrap_or(0.0);
+                    if s > 0.0 {
+                        p.remaining -= Work::raw(s * dt);
+                    }
+                }
             }
         }
     }
@@ -439,21 +580,102 @@ mod tests {
         assert_eq!(r.final_window, 1.0);
     }
 
+    fn packet(id: u64, user: usize) -> ActivePacket {
+        ActivePacket {
+            id,
+            user,
+            arrival: SimTime::ZERO,
+            size: Work::raw(1.0),
+            remaining: Work::raw(1.0),
+        }
+    }
+
     #[test]
     fn ecn_marks_at_threshold() {
-        use crate::units::Work;
         let mut b = Bottleneck::new(1, Some(2));
         assert!(!b.ecn_mark());
         for id in 0..2 {
-            b.active.push(ActivePacket {
-                id,
-                user: 0,
-                arrival: SimTime::ZERO,
-                size: Work::raw(1.0),
-                remaining: Work::raw(1.0),
-            });
+            b.admit(packet(id, 0));
         }
         assert!(b.ecn_mark());
         assert!(!Bottleneck::new(1, None).ecn_mark());
+    }
+
+    /// Every active packet is indexed at its position.
+    fn assert_index_consistent(b: &Bottleneck) {
+        for (i, p) in b.active.iter().enumerate() {
+            assert_eq!(b.position(p.id), Some(i), "packet {}", p.id);
+        }
+        assert_ne!(b.slots.front(), Some(&VACANT), "window starts at a live id");
+    }
+
+    #[test]
+    fn slot_index_follows_swap_remove_and_trims_the_window() {
+        let mut b = Bottleneck::new(2, None);
+        for id in 0..6 {
+            b.admit(packet(id, usize::from(id % 2 == 1)));
+        }
+        assert_eq!((b.peak, b.counts.clone()), (6, vec![3, 3]));
+        // Removing index 1 moves the last packet (id 5) into its place.
+        assert_eq!(b.depart(1).id, 1);
+        assert_eq!(b.active[1].id, 5);
+        assert_index_consistent(&b);
+        assert_eq!(b.position(1), None);
+        // Departing the oldest trims the window past every gone id.
+        assert_eq!(b.depart(0).id, 0);
+        assert_eq!(b.base, 2);
+        assert_index_consistent(&b);
+        b.admit(packet(6, 0));
+        assert_index_consistent(&b);
+        while !b.active.is_empty() {
+            b.depart(b.active.len() - 1);
+            assert_index_consistent(&b);
+        }
+        assert!(b.slots.is_empty());
+        assert_eq!(b.base, 7);
+        assert_eq!((b.peak, b.counts.clone()), (6, vec![0, 0]));
+        // An id out of sequence stays unindexed.
+        b.admit(packet(40, 1));
+        assert_eq!(b.position(40), None);
+        assert!(b.slots.is_empty());
+    }
+
+    #[test]
+    fn serve_resolves_one_packet_and_falls_back_to_shares() {
+        use crate::qdisc::{Fifo, ProcessorSharing};
+        let mut b = Bottleneck::new(1, None);
+        let mut fifo = Fifo::default();
+        b.serve(&mut fifo, SimTime::ZERO);
+        assert_eq!(b.served, Served::Idle);
+        assert_eq!(b.peek_completion(0.0), (f64::INFINITY, usize::MAX));
+        for id in 0..3 {
+            let p = packet(id, 0);
+            fifo.on_arrival(&p, SimTime::ZERO);
+            b.admit(p);
+        }
+        b.serve(&mut fifo, SimTime::ZERO);
+        assert_eq!(b.served, Served::One(0));
+        assert_eq!(b.peek_completion(2.0), (3.0, 0));
+        b.drain(0.25);
+        assert_eq!(b.active[0].remaining, Work::raw(0.75));
+        assert_eq!((b.share(0), b.share(1)), (1.0, 0.0));
+        // A discipline that never saw these packets: the split fallback.
+        b.serve(&mut Fifo::default(), SimTime::ZERO);
+        assert_eq!(b.served, Served::Split);
+        assert_eq!(b.share(2), 1.0 / 3.0);
+        b.serve(&mut ProcessorSharing, SimTime::ZERO);
+        assert_eq!(b.served, Served::Split);
+        let (t, idx) = b.peek_completion(0.0);
+        assert_eq!((t, idx), (0.75 / (1.0 / 3.0), 0));
+        // An unindexed packet named by the discipline: shares again.
+        let late = packet(99, 0);
+        fifo.on_departure(&b.active[0].clone(), SimTime::ZERO);
+        b.depart(0);
+        let mut lifo = crate::qdisc::LifoPreemptive::default();
+        lifo.on_arrival(&late, SimTime::ZERO);
+        b.admit(late);
+        b.serve(&mut lifo, SimTime::ZERO);
+        assert_eq!(b.served, Served::Split);
+        assert_eq!(b.share(2), 1.0);
     }
 }

@@ -29,21 +29,24 @@
 //!   [`calendar::EventCalendar`] behind the swappable
 //!   [`calendar::EventQueue`] trait, ordered by `f64::total_cmp` with
 //!   FIFO sequence tie-breaking.
-//! * [`qdisc`] — the [`QDisc`] trait (queueing discipline): maps the
-//!   active packet set to a vector of non-negative *service shares*
-//!   summing to 1 (FIFO puts all service on the oldest packet; processor
-//!   sharing splits it evenly; priority disciplines serve the highest
-//!   non-empty level; fair queueing serves the smallest virtual start
-//!   tag, non-preemptively).
+//! * [`qdisc`] — the [`QDisc`] trait (queueing discipline): names the
+//!   packet that holds the whole server ([`Service::One`]), answered
+//!   from id queues the discipline keeps in its arrival/departure hooks
+//!   (FIFO serves the oldest packet; priority disciplines the oldest of
+//!   the highest non-empty level; fair queueing the smallest virtual
+//!   start tag, non-preemptively), or splits the server by a vector of
+//!   non-negative *service shares* summing to 1 (processor sharing).
 //! * [`entities`] — [`entities::SourceSpec`] sources (open-loop Poisson
 //!   or closed-loop AIMD), the bottleneck, and the typed
 //!   [`entities::Cmd`]s they exchange through the calendar.
 //! * [`engine`] — the [`engine::Engine`] event loop: pops commands,
-//!   dispatches them to entities, drains work between events at the
-//!   QDisc's shares, and integrates statistics. Bottleneck completions
-//!   are *derived* events recomputed from the shares after every state
-//!   change, so share-shuffling disciplines never leave stale entries on
-//!   the calendar.
+//!   dispatches them to entities, drains work between events from the
+//!   served packet (or at the QDisc's shares), and integrates
+//!   statistics. Bottleneck completions are *derived* events recomputed
+//!   from the served packet or the shares after every state change, so
+//!   share-shuffling disciplines never leave stale entries on the
+//!   calendar; the [`EngineReport`] carries the run's peak backlog and
+//!   calendar depth.
 //! * [`sim`] — the classic open-loop facade ([`Simulator`] /
 //!   [`SimConfig`]), bitwise-compatible with the pre-calendar engine.
 //!
@@ -75,7 +78,7 @@ pub use entities::{ClosedLoopSpec, Cmd, FlowRecord, SourceSpec};
 pub use error::DesError;
 pub use qdisc::{
     ActivePacket, Fifo, FsPriorityTable, LifoPreemptive, PreemptivePriority, ProcessorSharing,
-    QDisc, StartTimeFairQueueing,
+    QDisc, Service, StartTimeFairQueueing,
 };
 pub use service::ServiceDist;
 pub use sim::{SimConfig, SimConfigBuilder, SimResult, Simulator};

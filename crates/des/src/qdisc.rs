@@ -1,33 +1,47 @@
 //! Queueing disciplines (`QDisc`s) for the packet engine.
 //!
-//! A `QDisc` maps the current set of active packets to *service shares*:
-//! non-negative weights summing to 1 that say how the unit-rate server's
-//! effort is split this instant. Work conservation is automatic (shares
-//! only ever cover active packets); preemption is expressed simply by
-//! the shares changing when an arrival occurs.
+//! A `QDisc` decides how the unit-rate server's effort is split across
+//! the active packets at every instant. It answers in one of two ways:
 //!
-//! | QDisc | Shares | Induced allocation (mean queues) |
+//! * [`QDisc::service`] names the one packet that holds the whole server
+//!   ([`Service::One`]), or says nothing is queued ([`Service::Idle`]).
+//!   The single-server disciplines below keep id queues in their
+//!   `on_arrival`/`on_departure` hooks and answer in O(1) or
+//!   O(log backlog), so an overloaded switch costs no more per event
+//!   than a lightly loaded one.
+//! * [`QDisc::shares`] writes *service shares*: non-negative weights,
+//!   one per active packet, summing to 1. Disciplines that split the
+//!   server (processor sharing) answer here, and say so by keeping the
+//!   default `service`, which returns [`Service::Split`].
+//!
+//! Every single-server discipline writes its `shares` from its own
+//! `service` answer, so each discipline has exactly one selection rule
+//! and callers that only speak `shares` (decorators, reference loops)
+//! see the same schedule. Work conservation is automatic (service only
+//! ever goes to active packets); preemption is expressed simply by the
+//! answer changing when an arrival occurs.
+//!
+//! | QDisc | Serves | Induced allocation (mean queues) |
 //! |---|---|---|
-//! | [`Fifo`] | all on oldest packet | proportional `r_i/(1−Σr)` |
-//! | [`LifoPreemptive`] | all on newest packet | proportional |
-//! | [`ProcessorSharing`] | `1/k` each | proportional |
-//! | [`PreemptivePriority`] | oldest packet of best class | serial `g(Λ_k)−g(Λ_{k−1})` |
-//! | [`FsPriorityTable`] | Table 1 levels, preemptive | **Fair Share** |
-//! | [`StartTimeFairQueueing`] | min start-tag, non-preemptive | ≈ Fair-Share-like (§5.2) |
+//! | [`Fifo`] | oldest packet (id deque) | proportional `r_i/(1−Σr)` |
+//! | [`LifoPreemptive`] | newest packet (id stack) | proportional |
+//! | [`ProcessorSharing`] | `1/k` each (share vector) | proportional |
+//! | [`PreemptivePriority`] | oldest packet of best class (deque per class) | serial `g(Λ_k)−g(Λ_{k−1})` |
+//! | [`FsPriorityTable`] | oldest packet of best Table 1 level (deque per level) | **Fair Share** |
+//! | [`StartTimeFairQueueing`] | min start tag, non-preemptive (tag min-heap) | ≈ Fair-Share-like (§5.2) |
 //!
-//! This module is the typed-unit successor of the old `disciplines`
-//! module: the trait was renamed `Discipline` → `QDisc` (the deprecated
-//! alias has since been removed) and [`ActivePacket`] now carries
-//! [`SimTime`]/[`Work`] fields instead of bare `f64`s. The share logic
-//! itself is unchanged — the engine-equivalence tests pin that every
-//! discipline produces bitwise-identical simulations.
+//! The engine-equivalence tests and the pinned result goldens
+//! (`tests/result_goldens.rs`) pin that every discipline produces
+//! bitwise-identical simulations to the share-scan implementations this
+//! module started from.
 
 use crate::error::DesError;
 use crate::rng::ExpStream;
 use crate::units::{SimTime, Work};
 use crate::Result;
 use greednet_queueing::fair_share::priority_table;
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::fmt::Debug;
 
 /// A packet currently in the system.
@@ -46,8 +60,26 @@ pub struct ActivePacket {
     pub remaining: Work,
 }
 
+/// A discipline's answer to "who holds the server now?".
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Service {
+    /// No packet is queued.
+    Idle,
+    /// The packet with this id holds the whole server.
+    One(u64),
+    /// The effort is split across packets: read [`QDisc::shares`].
+    Split,
+}
+
 /// A queueing discipline: decides how the server's effort is split
 /// across the active packets at every instant.
+///
+/// The engine calls the hooks in event order: `on_arrival` before a
+/// packet joins the active set, `on_departure` after it leaves, then
+/// `service` once per event. It calls `shares` only when `service`
+/// returns [`Service::Split`], or when the answer names a packet the
+/// engine does not hold (a discipline that missed a hook); the server
+/// never idles while packets wait.
 pub trait QDisc: Send + Debug {
     /// Human-readable name (used in experiment tables).
     fn name(&self) -> &'static str;
@@ -62,57 +94,99 @@ pub trait QDisc: Send + Debug {
     /// (same indexing). Shares must be non-negative and sum to 1 whenever
     /// `active` is non-empty.
     fn shares(&mut self, active: &[ActivePacket], now: SimTime, out: &mut Vec<f64>);
+
+    /// The packet that holds the whole server, if the discipline serves
+    /// one packet at a time. The default, [`Service::Split`], routes
+    /// every event through [`QDisc::shares`].
+    fn service(&mut self, _now: SimTime) -> Service {
+        Service::Split
+    }
 }
 
+/// Writes the share vector of a single-server answer: the whole server on
+/// the named packet. An answer that names no active packet (a missed
+/// hook) splits the server evenly instead, so packets never wait on an
+/// idle server.
 // gn:hot(amortized)
-fn single_share(out: &mut Vec<f64>, len: usize, winner: usize) {
+fn single_server_shares(service: Service, active: &[ActivePacket], out: &mut Vec<f64>) {
     out.clear();
-    out.resize(len, 0.0);
-    out[winner] = 1.0;
+    let served = match service {
+        Service::One(id) => active.iter().position(|p| p.id == id),
+        Service::Idle | Service::Split => None,
+    };
+    match served {
+        Some(idx) => {
+            out.resize(active.len(), 0.0);
+            out[idx] = 1.0;
+        }
+        None if active.is_empty() => {}
+        None => out.resize(active.len(), 1.0 / active.len() as f64),
+    }
 }
 
-// gn:hot
-fn oldest(
-    active: &[ActivePacket],
-    mut eligible: impl FnMut(&ActivePacket) -> bool,
-) -> Option<usize> {
-    let mut best: Option<usize> = None;
-    for (idx, p) in active.iter().enumerate() {
-        if !eligible(p) {
-            continue;
+/// Packet ids per priority class, each class in arrival (= id) order.
+/// The served packet is the head of the first non-empty class.
+#[derive(Debug, Clone, Default)]
+struct ClassQueues {
+    queues: Vec<VecDeque<u64>>,
+}
+
+impl ClassQueues {
+    // gn:hot(amortized)
+    fn push(&mut self, class: usize, id: u64) {
+        if self.queues.len() <= class {
+            self.queues.resize_with(class + 1, VecDeque::new);
         }
-        match best {
-            None => best = Some(idx),
-            Some(b) => {
-                if p.id < active[b].id {
-                    best = Some(idx);
-                }
+        self.queues[class].push_back(id);
+    }
+
+    /// Removes `id`. The served head, which is what departs in the
+    /// engine, is the first id the scan meets: O(classes).
+    // gn:hot
+    fn remove(&mut self, id: u64) {
+        for q in &mut self.queues {
+            if let Some(pos) = q.iter().position(|&x| x == id) {
+                q.remove(pos);
+                return;
             }
         }
     }
-    best
+
+    // gn:hot
+    fn service(&self) -> Service {
+        self.queues
+            .iter()
+            .find_map(|q| q.front().copied())
+            .map_or(Service::Idle, Service::One)
+    }
 }
 
 /// First-in-first-out: the oldest packet holds the server. Induces the
 /// proportional allocation.
 #[derive(Debug, Clone, Default)]
-pub struct Fifo;
+pub struct Fifo {
+    queue: ClassQueues,
+}
 
 impl QDisc for Fifo {
     fn name(&self) -> &'static str {
         "FIFO"
     }
-    // gn:hot
-    fn on_arrival(&mut self, _pkt: &ActivePacket, _now: SimTime) {}
-    // gn:hot
-    fn on_departure(&mut self, _pkt: &ActivePacket, _now: SimTime) {}
     // gn:hot(amortized)
-    fn shares(&mut self, active: &[ActivePacket], _now: SimTime, out: &mut Vec<f64>) {
-        if let Some(idx) = oldest(active, |_| true) {
-            single_share(out, active.len(), idx);
-        } else {
-            out.clear();
-        }
+    fn on_arrival(&mut self, pkt: &ActivePacket, _now: SimTime) {
+        self.queue.push(0, pkt.id);
+    }
+    // gn:hot
+    fn on_departure(&mut self, pkt: &ActivePacket, _now: SimTime) {
+        self.queue.remove(pkt.id);
+    }
+    // gn:hot(amortized)
+    fn shares(&mut self, active: &[ActivePacket], now: SimTime, out: &mut Vec<f64>) {
+        single_server_shares(self.service(now), active, out);
+    }
+    // gn:hot
+    fn service(&mut self, _now: SimTime) -> Service {
+        self.queue.service()
     }
 }
 
@@ -121,23 +195,35 @@ impl QDisc for Fifo {
 /// lengths are scheduling-invariant within symmetric non-anticipating
 /// disciplines for exponential sizes).
 #[derive(Debug, Clone, Default)]
-pub struct LifoPreemptive;
+pub struct LifoPreemptive {
+    stack: Vec<u64>,
+}
 
 impl QDisc for LifoPreemptive {
     fn name(&self) -> &'static str {
         "LIFO-PR"
     }
-    // gn:hot
-    fn on_arrival(&mut self, _pkt: &ActivePacket, _now: SimTime) {}
-    // gn:hot
-    fn on_departure(&mut self, _pkt: &ActivePacket, _now: SimTime) {}
     // gn:hot(amortized)
-    fn shares(&mut self, active: &[ActivePacket], _now: SimTime, out: &mut Vec<f64>) {
-        out.clear();
-        out.resize(active.len(), 0.0);
-        if let Some((idx, _)) = active.iter().enumerate().max_by_key(|(_, p)| p.id) {
-            out[idx] = 1.0;
+    fn on_arrival(&mut self, pkt: &ActivePacket, _now: SimTime) {
+        self.stack.push(pkt.id);
+    }
+    // gn:hot
+    fn on_departure(&mut self, pkt: &ActivePacket, _now: SimTime) {
+        // The served top is the first id the scan meets: O(1).
+        if let Some(pos) = self.stack.iter().rposition(|&x| x == pkt.id) {
+            self.stack.remove(pos);
         }
+    }
+    // gn:hot(amortized)
+    fn shares(&mut self, active: &[ActivePacket], now: SimTime, out: &mut Vec<f64>) {
+        single_server_shares(self.service(now), active, out);
+    }
+    // gn:hot
+    fn service(&mut self, _now: SimTime) -> Service {
+        self.stack
+            .last()
+            .copied()
+            .map_or(Service::Idle, Service::One)
     }
 }
 
@@ -170,7 +256,10 @@ impl QDisc for ProcessorSharing {
 /// allocation `c_(k) = g(Λ_k) − g(Λ_{k−1})`.
 #[derive(Debug, Clone)]
 pub struct PreemptivePriority {
+    /// Dense priority rank per user (0 = served first): the given classes
+    /// renumbered `0..distinct`, order preserved.
     pub(crate) class: Vec<usize>,
+    queues: ClassQueues,
 }
 
 impl PreemptivePriority {
@@ -184,7 +273,17 @@ impl PreemptivePriority {
                 detail: "no user classes".into(),
             });
         }
-        Ok(PreemptivePriority { class })
+        let mut distinct = class.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let class: Vec<usize> = class
+            .iter()
+            .map(|&c| distinct.partition_point(|&d| d < c))
+            .collect();
+        Ok(PreemptivePriority {
+            class,
+            queues: ClassQueues::default(),
+        })
     }
 
     /// Classes assigned by ascending rate (lightest user = highest
@@ -204,7 +303,7 @@ impl PreemptivePriority {
         for (rank, &u) in order.iter().enumerate() {
             class[u] = rank;
         }
-        Ok(PreemptivePriority { class })
+        PreemptivePriority::new(class)
     }
 }
 
@@ -212,22 +311,21 @@ impl QDisc for PreemptivePriority {
     fn name(&self) -> &'static str {
         "preemptive priority"
     }
-    // gn:hot
-    fn on_arrival(&mut self, _pkt: &ActivePacket, _now: SimTime) {}
-    // gn:hot
-    fn on_departure(&mut self, _pkt: &ActivePacket, _now: SimTime) {}
     // gn:hot(amortized)
-    fn shares(&mut self, active: &[ActivePacket], _now: SimTime, out: &mut Vec<f64>) {
-        out.clear();
-        if active.is_empty() {
-            return;
-        }
-        let Some(best_class) = active.iter().map(|p| self.class[p.user]).min() else {
-            return;
-        };
-        if let Some(idx) = oldest(active, |p| self.class[p.user] == best_class) {
-            single_share(out, active.len(), idx);
-        }
+    fn on_arrival(&mut self, pkt: &ActivePacket, _now: SimTime) {
+        self.queues.push(self.class[pkt.user], pkt.id);
+    }
+    // gn:hot
+    fn on_departure(&mut self, pkt: &ActivePacket, _now: SimTime) {
+        self.queues.remove(pkt.id);
+    }
+    // gn:hot(amortized)
+    fn shares(&mut self, active: &[ActivePacket], now: SimTime, out: &mut Vec<f64>) {
+        single_server_shares(self.service(now), active, out);
+    }
+    // gn:hot
+    fn service(&mut self, _now: SimTime) -> Service {
+        self.queues.service()
     }
 }
 
@@ -240,12 +338,8 @@ impl QDisc for PreemptivePriority {
 pub struct FsPriorityTable {
     /// Per-user cumulative level probabilities.
     cumulative: Vec<Vec<f64>>,
-    /// Per-packet assigned priority level, keyed by packet id. A
-    /// `BTreeMap` (not `HashMap`): the map is consulted during the
-    /// deterministic event loop, and ordered containers keep every code
-    /// path (including any future iteration) independent of process-level
-    /// hash seeds (GN01).
-    pub(crate) levels: BTreeMap<u64, usize>,
+    /// Packet ids per priority level, in arrival order.
+    levels: ClassQueues,
     rng: ExpStream,
 }
 
@@ -284,7 +378,7 @@ impl FsPriorityTable {
             .collect();
         Ok(FsPriorityTable {
             cumulative,
-            levels: BTreeMap::new(),
+            levels: ClassQueues::default(),
             rng: ExpStream::new(seed),
         })
     }
@@ -299,30 +393,35 @@ impl QDisc for FsPriorityTable {
         let u = self.rng.uniform();
         let cum = &self.cumulative[pkt.user];
         let level = cum.iter().position(|&c| u < c).unwrap_or(cum.len() - 1);
-        self.levels.insert(pkt.id, level);
+        self.levels.push(level, pkt.id);
     }
     // gn:hot
     fn on_departure(&mut self, pkt: &ActivePacket, _now: SimTime) {
-        self.levels.remove(&pkt.id);
+        self.levels.remove(pkt.id);
     }
     // gn:hot(amortized)
-    fn shares(&mut self, active: &[ActivePacket], _now: SimTime, out: &mut Vec<f64>) {
-        out.clear();
-        if active.is_empty() {
-            return;
-        }
-        // Every active packet got a level in `on_arrival`; a missing id
-        // would mean the engine skipped the arrival hook, so fall back to
-        // treating such a packet as lowest priority rather than panic.
-        debug_assert!(active.iter().all(|p| self.levels.contains_key(&p.id)));
-        let level_of = |p: &ActivePacket| self.levels.get(&p.id).copied().unwrap_or(usize::MAX);
-        let Some(best_level) = active.iter().map(level_of).min() else {
-            return;
-        };
-        if let Some(idx) = oldest(active, |p| level_of(p) == best_level) {
-            single_share(out, active.len(), idx);
-        }
+    fn shares(&mut self, active: &[ActivePacket], now: SimTime, out: &mut Vec<f64>) {
+        single_server_shares(self.service(now), active, out);
     }
+    // gn:hot
+    fn service(&mut self, _now: SimTime) -> Service {
+        self.levels.service()
+    }
+}
+
+/// `f64::total_cmp` order as an unsigned key: the sign-magnitude flip
+/// `total_cmp` itself applies, shifted so negatives sort below positives.
+// gn:hot
+fn tag_key(tag: f64) -> u64 {
+    let bits = tag.to_bits();
+    bits ^ ((bits.cast_signed() >> 63).cast_unsigned() >> 1) ^ (1 << 63)
+}
+
+/// Inverse of [`tag_key`].
+// gn:hot
+fn tag_of_key(key: u64) -> f64 {
+    let bits = key ^ (1 << 63);
+    f64::from_bits(bits ^ ((bits.cast_signed() >> 63).cast_unsigned() >> 1))
 }
 
 /// Start-time Fair Queueing (SFQ): a practical, non-preemptive
@@ -330,15 +429,14 @@ impl QDisc for FsPriorityTable {
 /// Fair Queueing of Demers–Keshav–Shenker \[3\] discussed in §5.2. Each
 /// packet gets a start tag `S = max(v, F_prev(user))` and finish tag
 /// `F = S + size`; the server (non-preemptively) serves the packet with
-/// the smallest start tag and the virtual time `v` is the start tag of the
-/// packet in service.
+/// the smallest start tag (ties to the older packet) and the virtual time
+/// `v` is the start tag of the packet in service.
 #[derive(Debug)]
 pub struct StartTimeFairQueueing {
     v: f64,
     finish_prev: Vec<f64>,
-    /// Per-packet start tag, keyed by packet id. Ordered (`BTreeMap`) for
-    /// the same determinism reason as [`FsPriorityTable::levels`] (GN01).
-    start_tags: BTreeMap<u64, f64>,
+    /// Waiting packets as `(tag_key(start tag), id)`, smallest first.
+    waiting: BinaryHeap<Reverse<(u64, u64)>>,
     current: Option<u64>,
 }
 
@@ -356,7 +454,7 @@ impl StartTimeFairQueueing {
         Ok(StartTimeFairQueueing {
             v: 0.0,
             finish_prev: vec![0.0; n],
-            start_tags: BTreeMap::new(),
+            waiting: BinaryHeap::new(),
             current: None,
         })
     }
@@ -369,47 +467,35 @@ impl QDisc for StartTimeFairQueueing {
     // gn:hot(amortized)
     fn on_arrival(&mut self, pkt: &ActivePacket, _now: SimTime) {
         let s = self.v.max(self.finish_prev[pkt.user]);
-        self.start_tags.insert(pkt.id, s);
+        self.waiting.push(Reverse((tag_key(s), pkt.id)));
         self.finish_prev[pkt.user] = s + pkt.size.get();
     }
     // gn:hot
     fn on_departure(&mut self, pkt: &ActivePacket, _now: SimTime) {
-        self.start_tags.remove(&pkt.id);
         if self.current == Some(pkt.id) {
             self.current = None;
+        } else {
+            self.waiting.retain(|&Reverse((_, id))| id != pkt.id);
         }
     }
     // gn:hot(amortized)
-    fn shares(&mut self, active: &[ActivePacket], _now: SimTime, out: &mut Vec<f64>) {
-        out.clear();
-        if active.is_empty() {
-            return;
+    fn shares(&mut self, active: &[ActivePacket], now: SimTime, out: &mut Vec<f64>) {
+        single_server_shares(self.service(now), active, out);
+    }
+    // gn:hot
+    fn service(&mut self, _now: SimTime) -> Service {
+        // Non-preemptive: the packet in service keeps the server.
+        if let Some(id) = self.current {
+            return Service::One(id);
         }
-        // Non-preemptive: stick with the packet in service if still present.
-        if let Some(cur) = self.current {
-            if let Some(idx) = active.iter().position(|p| p.id == cur) {
-                single_share(out, active.len(), idx);
-                return;
+        match self.waiting.pop() {
+            Some(Reverse((key, id))) => {
+                self.current = Some(id);
+                self.v = tag_of_key(key);
+                Service::One(id)
             }
-            self.current = None;
+            None => Service::Idle,
         }
-        // Tags are assigned in `on_arrival`; a missing id would mean the
-        // engine skipped the hook, so such a packet sorts last instead of
-        // panicking.
-        debug_assert!(active.iter().all(|p| self.start_tags.contains_key(&p.id)));
-        let tag_of =
-            |p: &ActivePacket| self.start_tags.get(&p.id).copied().unwrap_or(f64::INFINITY);
-        let Some(idx) = active
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| tag_of(a).total_cmp(&tag_of(b)).then(a.id.cmp(&b.id)))
-            .map(|(i, _)| i)
-        else {
-            return;
-        };
-        self.current = Some(active[idx].id);
-        self.v = tag_of(&active[idx]);
-        single_share(out, active.len(), idx);
     }
 }
 
@@ -431,10 +517,21 @@ mod tests {
         SimTime::raw(now)
     }
 
+    /// Announces every packet of `active` in id order, as the engine does.
+    fn arrive_all(d: &mut dyn QDisc, active: &[ActivePacket]) {
+        let mut by_id: Vec<&ActivePacket> = active.iter().collect();
+        by_id.sort_by_key(|p| p.id);
+        for p in by_id {
+            d.on_arrival(p, p.arrival);
+        }
+    }
+
     #[test]
     fn fifo_serves_oldest() {
-        let mut d = Fifo;
+        let mut d = Fifo::default();
         let active = vec![pkt(3, 0, 0.3), pkt(1, 1, 0.1), pkt(2, 0, 0.2)];
+        arrive_all(&mut d, &active);
+        assert_eq!(d.service(t(1.0)), Service::One(1));
         let mut out = Vec::new();
         d.shares(&active, t(1.0), &mut out);
         assert_eq!(out, vec![0.0, 1.0, 0.0]);
@@ -442,11 +539,18 @@ mod tests {
 
     #[test]
     fn lifo_serves_newest() {
-        let mut d = LifoPreemptive;
+        let mut d = LifoPreemptive::default();
         let active = vec![pkt(3, 0, 0.3), pkt(1, 1, 0.1)];
+        arrive_all(&mut d, &active);
+        assert_eq!(d.service(t(1.0)), Service::One(3));
         let mut out = Vec::new();
         d.shares(&active, t(1.0), &mut out);
         assert_eq!(out, vec![1.0, 0.0]);
+        // Departure of a non-head id leaves the head in place.
+        d.on_departure(&active[1], t(1.0));
+        assert_eq!(d.service(t(1.0)), Service::One(3));
+        d.on_departure(&active[0], t(1.0));
+        assert_eq!(d.service(t(1.0)), Service::Idle);
     }
 
     #[test]
@@ -458,6 +562,7 @@ mod tests {
             pkt(3, 0, 0.3),
             pkt(4, 2, 0.4),
         ];
+        assert_eq!(d.service(t(1.0)), Service::Split);
         let mut out = Vec::new();
         d.shares(&active, t(1.0), &mut out);
         assert_eq!(out, vec![0.25; 4]);
@@ -466,25 +571,57 @@ mod tests {
     #[test]
     fn empty_active_set_gives_empty_shares() {
         let mut out = vec![1.0];
-        Fifo.shares(&[], t(0.0), &mut out);
+        let mut fifo = Fifo::default();
+        assert_eq!(fifo.service(t(0.0)), Service::Idle);
+        fifo.shares(&[], t(0.0), &mut out);
         assert!(out.is_empty());
         ProcessorSharing.shares(&[], t(0.0), &mut out);
         assert!(out.is_empty());
     }
 
     #[test]
+    fn missed_hooks_split_the_server_instead_of_idling() {
+        // No `on_arrival`: the queue is empty, yet packets wait.
+        let active = vec![pkt(1, 0, 0.1), pkt(2, 1, 0.2)];
+        let mut out = Vec::new();
+        Fifo::default().shares(&active, t(1.0), &mut out);
+        assert_eq!(out, vec![0.5, 0.5]);
+        // The named packet already left the active set.
+        let mut d = LifoPreemptive::default();
+        d.on_arrival(&pkt(9, 0, 0.0), t(0.0));
+        d.shares(&active, t(1.0), &mut out);
+        assert_eq!(out, vec![0.5, 0.5]);
+    }
+
+    #[test]
     fn priority_serves_best_class_oldest() {
         let mut d = PreemptivePriority::new(vec![1, 0]).unwrap(); // user 1 first
         let active = vec![pkt(1, 0, 0.1), pkt(2, 1, 0.2), pkt(3, 1, 0.3)];
+        arrive_all(&mut d, &active);
         let mut out = Vec::new();
         d.shares(&active, t(1.0), &mut out);
         assert_eq!(out, vec![0.0, 1.0, 0.0]); // oldest of user 1's packets
+        d.on_departure(&active[1], t(1.0));
+        assert_eq!(d.service(t(1.0)), Service::One(3));
+        d.on_departure(&active[2], t(1.0));
+        assert_eq!(d.service(t(1.0)), Service::One(1));
+    }
+
+    #[test]
+    fn priority_classes_are_renumbered_densely() {
+        let d = PreemptivePriority::new(vec![40, 7, 40, 1000]).unwrap();
+        assert_eq!(d.class, vec![1, 0, 1, 2]);
     }
 
     #[test]
     fn priority_by_ascending_rate_ranks_lightest_first() {
         let d = PreemptivePriority::by_ascending_rate(&[0.3, 0.1, 0.2]).unwrap();
         assert_eq!(d.class, vec![2, 0, 1]);
+    }
+
+    /// The level the Table 1 discipline gave packet `id`.
+    fn level_of(d: &FsPriorityTable, id: u64) -> Option<usize> {
+        d.levels.queues.iter().position(|q| q.contains(&id))
     }
 
     #[test]
@@ -496,11 +633,11 @@ mod tests {
             let user = (trial % 4) as usize;
             let p = pkt(trial, user, 0.0);
             d.on_arrival(&p, t(0.0));
-            let level = d.levels[&trial];
+            let level = level_of(&d, trial).unwrap();
             assert!(level <= user, "user {user} got level {level}");
             d.on_departure(&p, t(0.0));
         }
-        assert!(d.levels.is_empty());
+        assert_eq!(d.service(t(0.0)), Service::Idle);
     }
 
     #[test]
@@ -513,7 +650,7 @@ mod tests {
         for id in 0..n {
             let p = pkt(id, 1, 0.0);
             d.on_arrival(&p, t(0.0));
-            if d.levels[&id] == 0 {
+            if level_of(&d, id) == Some(0) {
                 level0 += 1;
             }
             d.on_departure(&p, t(0.0));
@@ -544,6 +681,26 @@ mod tests {
         let active = vec![p2.clone(), p3.clone()];
         d.shares(&active, t(1.0), &mut out);
         assert_eq!(out, vec![0.0, 1.0]);
+    }
+
+    #[test]
+    fn sfq_tag_key_orders_like_total_cmp_and_round_trips() {
+        let tags = [
+            f64::NEG_INFINITY,
+            -2.5,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            1.0,
+            3.0e300,
+            f64::INFINITY,
+        ];
+        for a in tags {
+            assert_eq!(tag_of_key(tag_key(a)).to_bits(), a.to_bits());
+            for b in tags {
+                assert_eq!(tag_key(a).cmp(&tag_key(b)), a.total_cmp(&b), "{a} vs {b}");
+            }
+        }
     }
 
     #[test]

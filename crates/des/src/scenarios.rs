@@ -78,8 +78,8 @@ impl DisciplineKind {
     /// Propagates discipline construction errors (empty systems).
     pub fn build(&self, rates: &[f64], seed: u64) -> Result<Box<dyn QDisc>> {
         Ok(match self {
-            DisciplineKind::Fifo => Box::new(Fifo),
-            DisciplineKind::LifoPreemptive => Box::new(LifoPreemptive),
+            DisciplineKind::Fifo => Box::new(Fifo::default()),
+            DisciplineKind::LifoPreemptive => Box::new(LifoPreemptive::default()),
             DisciplineKind::ProcessorSharing => Box::new(ProcessorSharing),
             DisciplineKind::SerialPriority => {
                 Box::new(PreemptivePriority::by_ascending_rate(rates)?)

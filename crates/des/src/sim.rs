@@ -223,7 +223,7 @@ pub struct SimResult {
 ///
 /// // One M/M/1 source at load 0.5: mean queue ~ 1, mean delay ~ 2.
 /// let sim = Simulator::new(SimConfig::new(vec![0.5], 50_000.0, 42)).unwrap();
-/// let result = sim.run(&mut Fifo).unwrap();
+/// let result = sim.run(&mut Fifo::default()).unwrap();
 /// assert!((result.mean_queue[0] - 1.0).abs() < 0.15);
 /// assert!((result.mean_delay[0] - 2.0).abs() < 0.3);
 /// ```
@@ -311,7 +311,7 @@ mod tests {
     fn single_user_mm1_queue_and_delay() {
         // M/M/1 sanity: L = g(rho), W = 1/(1 - rho).
         let rho = 0.5;
-        let r = run(&[rho], 200_000.0, 42, &mut Fifo);
+        let r = run(&[rho], 200_000.0, 42, &mut Fifo::default());
         assert!(
             (r.mean_queue[0] - mm1::g(rho)).abs() < 0.05,
             "L = {} vs {}",
@@ -332,7 +332,7 @@ mod tests {
     #[test]
     fn little_law_holds_per_user() {
         let rates = [0.2, 0.3];
-        let r = run(&rates, 100_000.0, 7, &mut Fifo);
+        let r = run(&rates, 100_000.0, 7, &mut Fifo::default());
         for u in 0..2 {
             let lhs = r.mean_queue[u];
             let rhs = r.throughput[u] * r.mean_delay[u];
@@ -349,8 +349,8 @@ mod tests {
         let expect = Proportional::new().congestion(&rates);
         let horizon = 200_000.0;
         for (name, d) in [
-            ("fifo", &mut Fifo as &mut dyn QDisc),
-            ("lifo", &mut LifoPreemptive),
+            ("fifo", &mut Fifo::default() as &mut dyn QDisc),
+            ("lifo", &mut LifoPreemptive::default()),
             ("ps", &mut ProcessorSharing),
         ] {
             let r = run(&rates, horizon, 1234, d);
@@ -399,8 +399,8 @@ mod tests {
         let expect = mm1::g(0.45);
         let horizon = 200_000.0;
         let totals: Vec<f64> = vec![
-            run(&rates, horizon, 3, &mut Fifo).total_mean_queue,
-            run(&rates, horizon, 3, &mut LifoPreemptive).total_mean_queue,
+            run(&rates, horizon, 3, &mut Fifo::default()).total_mean_queue,
+            run(&rates, horizon, 3, &mut LifoPreemptive::default()).total_mean_queue,
             run(&rates, horizon, 3, &mut ProcessorSharing).total_mean_queue,
             run(
                 &rates,
@@ -421,7 +421,7 @@ mod tests {
         // SFQ its delay is much closer to its solo M/M/1 delay.
         let rates = [0.1, 0.7];
         let horizon = 150_000.0;
-        let fifo = run(&rates, horizon, 11, &mut Fifo);
+        let fifo = run(&rates, horizon, 11, &mut Fifo::default());
         let sfq = run(
             &rates,
             horizon,
@@ -460,7 +460,7 @@ mod tests {
 
     #[test]
     fn zero_rate_user_is_inert() {
-        let r = run(&[0.0, 0.4], 50_000.0, 2, &mut Fifo);
+        let r = run(&[0.0, 0.4], 50_000.0, 2, &mut Fifo::default());
         assert_eq!(r.completed[0], 0);
         assert_eq!(r.mean_queue[0], 0.0);
         assert!(r.mean_queue[1] > 0.0);
@@ -471,7 +471,7 @@ mod tests {
         use greednet_telemetry::MetricsProbe;
         let sim = Simulator::new(SimConfig::new(vec![0.2, 0.3], 5_000.0, 17)).unwrap();
         let mut probe = MetricsProbe::new(2);
-        let r = sim.run_probed(&mut Fifo, &mut probe).unwrap();
+        let r = sim.run_probed(&mut Fifo::default(), &mut probe).unwrap();
         let m = probe.metrics();
         let arrivals: u64 = m
             .arrivals
@@ -510,7 +510,8 @@ mod tests {
         use greednet_telemetry::MetricsProbe;
         let sim = Simulator::new(SimConfig::new(vec![0.3, 0.3], 5_000.0, 23)).unwrap();
         let mut probe = MetricsProbe::new(2);
-        sim.run_probed(&mut LifoPreemptive, &mut probe).unwrap();
+        sim.run_probed(&mut LifoPreemptive::default(), &mut probe)
+            .unwrap();
         let m = probe.metrics();
         let departures: u64 = m
             .departures
@@ -528,11 +529,14 @@ mod tests {
     fn probe_does_not_change_results() {
         use greednet_telemetry::MetricsProbe;
         let cfg = SimConfig::new(vec![0.2, 0.25], 20_000.0, 5);
-        let a = Simulator::new(cfg.clone()).unwrap().run(&mut Fifo).unwrap();
+        let a = Simulator::new(cfg.clone())
+            .unwrap()
+            .run(&mut Fifo::default())
+            .unwrap();
         let mut probe = MetricsProbe::new(2);
         let b = Simulator::new(cfg)
             .unwrap()
-            .run_probed(&mut Fifo, &mut probe)
+            .run_probed(&mut Fifo::default(), &mut probe)
             .unwrap();
         assert_eq!(a.mean_queue, b.mean_queue);
         assert_eq!(a.mean_delay, b.mean_delay);
@@ -543,11 +547,11 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let a = run(&[0.2, 0.2], 20_000.0, 77, &mut Fifo);
-        let b = run(&[0.2, 0.2], 20_000.0, 77, &mut Fifo);
+        let a = run(&[0.2, 0.2], 20_000.0, 77, &mut Fifo::default());
+        let b = run(&[0.2, 0.2], 20_000.0, 77, &mut Fifo::default());
         assert_eq!(a.mean_queue, b.mean_queue);
         assert_eq!(a.events, b.events);
-        let c = run(&[0.2, 0.2], 20_000.0, 78, &mut Fifo);
+        let c = run(&[0.2, 0.2], 20_000.0, 78, &mut Fifo::default());
         assert_ne!(a.mean_queue, c.mean_queue);
     }
 
@@ -559,7 +563,7 @@ mod tests {
         let mut cfg = SimConfig::new(rates.clone(), 150_000.0, 64);
         cfg.service = ServiceDist::Deterministic;
         let sim = Simulator::new(cfg).unwrap();
-        let r = sim.run(&mut Fifo).unwrap();
+        let r = sim.run(&mut Fifo::default()).unwrap();
         let expect = Mg1Kernel::new(0.0).g(0.6);
         assert!(
             (r.total_mean_queue - expect).abs() / expect < 0.05,
@@ -580,7 +584,7 @@ mod tests {
         let mut cfg = SimConfig::new(rates.clone(), 300_000.0, 65);
         cfg.service = ServiceDist::Hyperexponential { cs2 };
         let sim = Simulator::new(cfg).unwrap();
-        let r = sim.run(&mut Fifo).unwrap();
+        let r = sim.run(&mut Fifo::default()).unwrap();
         let expect = Mg1Kernel::new(cs2).g(0.5);
         assert!(
             (r.total_mean_queue - expect).abs() / expect < 0.08,
@@ -639,7 +643,7 @@ mod tests {
         // M/M/1 FIFO sojourn time is Exp(1 - rho): quantile q at
         // -ln(1-q)/(1-rho).
         let rho = 0.5;
-        let r = run(&[rho], 200_000.0, 29, &mut Fifo);
+        let r = run(&[rho], 200_000.0, 29, &mut Fifo::default());
         let (p50, p95, p99) = r.delay_percentiles[0];
         let e50 = -(0.5f64).ln() / (1.0 - rho);
         let e95 = -(0.05f64).ln() / (1.0 - rho);
@@ -654,7 +658,7 @@ mod tests {
         // P(N = k) = (1 - rho) rho^k for M/M/1 under ANY non-anticipating
         // work-conserving discipline (total count is discipline-invariant).
         let rho = 0.6;
-        let r = run(&[rho], 200_000.0, 13, &mut Fifo);
+        let r = run(&[rho], 200_000.0, 13, &mut Fifo::default());
         let mass: f64 = r.total_queue_dist.iter().sum();
         assert!((mass - 1.0).abs() < 1e-9, "mass {mass}");
         for k in 0..8u8 {
@@ -681,7 +685,7 @@ mod tests {
         let mut cfg = SimConfig::new(vec![0.3], 1000.0, 5);
         cfg.warmup = 900.0.into();
         let sim = Simulator::new(cfg).unwrap();
-        let r = sim.run(&mut Fifo).unwrap();
+        let r = sim.run(&mut Fifo::default()).unwrap();
         assert_eq!(r.measured_time, SimTime::raw(100.0));
         assert!(r.mean_queue[0] >= 0.0);
     }

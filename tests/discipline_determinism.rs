@@ -1,13 +1,12 @@
-//! Regression guard for the GN01 container migration and the GN07
-//! comparator migration in `greednet_des::disciplines`: the map-backed
-//! disciplines (`FsPriorityTable` priority levels,
-//! `StartTimeFairQueueing` start tags) and the `total_cmp`-ordered ones
-//! (`PreemptivePriority::by_ascending_rate`, SFQ's tagged `min_by`
-//! selection) must produce **bitwise identical per-user allocations**
-//! however many worker threads run the replication batch. The maps used
-//! to be `HashMap`s and the comparators used to be
-//! `partial_cmp(..).unwrap()`; these tests pin the deterministic
-//! behavior so a future regression (or revert) is caught by
+//! Thread-count invariance of the stateful disciplines in
+//! `greednet_des::qdisc`: the queue-backed ones (`FsPriorityTable`'s
+//! per-level id deques, `StartTimeFairQueueing`'s start-tag min-heap)
+//! and the `total_cmp`-ordered ones (`PreemptivePriority::by_ascending_rate`,
+//! SFQ's heap keyed by the start tag's `total_cmp` order) must produce
+//! **bitwise identical per-user allocations** however many worker
+//! threads run the replication batch. Their per-packet state once lived
+//! in `HashMap`s ordered by `partial_cmp(..).unwrap()` comparators; these
+//! tests pin the deterministic behavior so a regression is caught by
 //! `cargo test`, not by a corrupted paper-vs-measured table.
 
 use greednet_des::qdisc::{FsPriorityTable, PreemptivePriority, QDisc, StartTimeFairQueueing};
@@ -58,7 +57,7 @@ where
 fn fs_priority_table_allocations_are_thread_count_invariant() {
     assert_thread_invariant(
         |seed| FsPriorityTable::new(&RATES, seed ^ 0xA5).expect("discipline"),
-        "FsPriorityTable (BTreeMap levels)",
+        "FsPriorityTable (level deques)",
     );
 }
 
@@ -66,7 +65,7 @@ fn fs_priority_table_allocations_are_thread_count_invariant() {
 fn start_time_fair_queueing_allocations_are_thread_count_invariant() {
     assert_thread_invariant(
         |_| StartTimeFairQueueing::new(RATES.len()).expect("discipline"),
-        "StartTimeFairQueueing (BTreeMap start tags)",
+        "StartTimeFairQueueing (start-tag heap)",
     );
 }
 

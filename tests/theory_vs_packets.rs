@@ -3,7 +3,7 @@
 //! (`greednet-des`) — §3.1 of the paper made executable.
 
 use greednet::des::scenarios::DisciplineKind;
-use greednet::des::{SimConfig, Simulator};
+use greednet::des::{Engine, EngineConfig, EngineReport, SimConfig, Simulator};
 use greednet::queueing::{mm1, AllocationFunction, FairShare, Proportional, SerialPriority};
 
 fn simulate(rates: &[f64], kind: DisciplineKind, horizon: f64, seed: u64) -> Vec<f64> {
@@ -82,6 +82,51 @@ fn protection_bound_holds_in_packets() {
             "victim queue {q} above protection bound {bound} (blaster {blaster})"
         );
     }
+}
+
+/// `rates` under `kind` past capacity, through `Engine` so the report
+/// carries the peak backlog.
+fn overloaded(rates: &[f64], kind: DisciplineKind, horizon: f64) -> EngineReport {
+    let mut cfg = EngineConfig::open_loop(rates, horizon, 808);
+    cfg.allow_overload = true;
+    let mut d = kind.build(rates, 1).unwrap();
+    Engine::new(cfg).unwrap().run(d.as_mut()).unwrap()
+}
+
+#[test]
+fn protection_bound_holds_at_2x_and_5x_overload() {
+    // Theorem 8 far past capacity: the blaster drives total load to 2
+    // and to 5, the backlog grows without bound, and the Table 1 victim
+    // still stays below r/(1 - N r).
+    let victim = 0.1;
+    let n = 3;
+    let bound = victim / (1.0 - n as f64 * victim);
+    let horizon = 60_000.0;
+    for blaster in [1.85, 4.85] {
+        let rates = [victim, 0.05, blaster];
+        let load: f64 = rates.iter().sum();
+        let report = overloaded(&rates, DisciplineKind::FsTable, horizon);
+        let q = report.result.mean_queue[0];
+        assert!(
+            q <= bound * 1.08,
+            "victim queue {q} above protection bound {bound} (load {load})"
+        );
+        let backlog = report.max_active as f64;
+        assert!(
+            backlog >= 0.9 * (load - 1.0) * horizon,
+            "peak backlog {backlog} at load {load}: the overload is not real"
+        );
+    }
+}
+
+#[test]
+fn fifo_breaks_protection_at_2x_overload() {
+    let victim = 0.1;
+    let n = 3;
+    let bound = victim / (1.0 - n as f64 * victim);
+    let report = overloaded(&[victim, 0.05, 1.85], DisciplineKind::Fifo, 60_000.0);
+    let q = report.result.mean_queue[0];
+    assert!(q > 2.0 * bound, "FIFO victim queue {q} vs bound {bound}");
 }
 
 #[test]
