@@ -1,13 +1,16 @@
 //! The finite-`N` engine: every one of `N` users best-responds to the
 //! previous sweep's population in a damped Jacobi iteration.
 //!
-//! One sweep costs `O(N log N)` (a sort plus the sorted-prefix Φ
-//! profile) and the `N` best responses are sharded across the
-//! deterministic pool in fixed-size chunks. Chunk boundaries never
-//! depend on the thread count and the pool merges chunk results in task
-//! order, so the solution is **bitwise identical** at any `--threads`.
+//! One sweep costs `O(N log N)`: it rebuilds the sorted population (a
+//! sort, prefix sums and the sorted-prefix Φ profile) in place, and each
+//! user's best response searches it from that user's own rank, so a
+//! Newton probe `d` ranks away costs `O(log d)`. The `N` best responses
+//! are sharded across the deterministic pool in fixed-size chunks. Chunk
+//! boundaries never depend on the thread count and the pool merges chunk
+//! results in task order, so the solution is **bitwise identical** at
+//! any `--threads`.
 
-use crate::kernel::{best_response_finite, phi_sorted, PopView};
+use crate::kernel::{best_response_finite, Population};
 use crate::model::{apportion, validate, ClassSpec, LargenDiscipline, LargenError, SolveOptions};
 use greednet_numerics::conv;
 use greednet_runtime::{child_seed, parallel_map_indexed};
@@ -120,12 +123,7 @@ pub fn solve_finite_probed<P: Probe>(
         })
         .collect();
 
-    let mut order: Vec<usize> = Vec::with_capacity(n);
-    let mut sorted_x: Vec<f64> = Vec::with_capacity(n);
-    let mut cum_mass: Vec<f64> = Vec::with_capacity(n + 1);
-    let mut cum_load: Vec<f64> = Vec::with_capacity(n + 1);
-    let mut phi_by_rank: Vec<f64> = Vec::with_capacity(n);
-    let mut phi: Vec<f64> = vec![0.0; n];
+    let mut pop = Population::default();
 
     let chunks = n.div_ceil(CHUNK);
     let inner_tol = opts.tol * 1e-2;
@@ -174,59 +172,22 @@ pub fn solve_finite_probed<P: Probe>(
             continue;
         }
 
-        // Population summary of the current iterate, in sorted order.
-        order.clear();
-        order.extend(0..n);
-        order.sort_by(|&a, &b| x[a].total_cmp(&x[b]));
-        sorted_x.clear();
-        sorted_x.extend(order.iter().map(|&i| x[i]));
-        cum_mass.clear();
-        cum_load.clear();
-        cum_mass.push(0.0);
-        cum_load.push(0.0);
-        for &v in &sorted_x {
-            cum_mass.push(cum_mass[cum_mass.len() - 1] + inv_n);
-            cum_load.push(cum_load[cum_load.len() - 1] + v * inv_n);
-        }
-        let total_load = cum_load[n];
-
-        phi_sorted(
-            disc,
-            &sorted_x,
-            &cum_mass,
-            &cum_load,
-            total_load,
-            &mut phi_by_rank,
-        );
-        for (rank, &i) in order.iter().enumerate() {
-            phi[i] = phi_by_rank[rank];
-        }
+        pop.rebuild(disc, &x, |_| inv_n, None);
 
         // Best responses, sharded in fixed chunks; results merge in
         // chunk order so the reduction below is thread-invariant.
         let br_chunks: Vec<Vec<f64>> = {
-            let x = &x;
-            let phi = &phi;
-            let sorted_x = &sorted_x;
-            let cum_mass = &cum_mass;
-            let cum_load = &cum_load;
+            let pop = &pop;
             parallel_map_indexed(threads, chunks, move |c| {
                 let lo = c * CHUNK;
                 let hi = (lo + CHUNK).min(n);
-                let pop = PopView {
-                    sorted_x,
-                    cum_mass,
-                    cum_load,
-                    total_load,
-                };
                 (lo..hi)
                     .map(|i| {
                         best_response_finite(
                             disc,
-                            &pop,
+                            pop,
                             classes[class_of(i)].utility.as_ref(),
-                            phi[i],
-                            x[i],
+                            i,
                             self_mass,
                             inner_tol,
                         )
@@ -256,7 +217,7 @@ pub fn solve_finite_probed<P: Probe>(
                 sweep: u64::from(sweeps),
                 users: conv::index_to_u64(n),
                 residual,
-                load: total_load,
+                load: pop.total_load(),
             });
         }
 
@@ -308,39 +269,15 @@ pub fn solve_finite_probed<P: Probe>(
 
     // Final per-class summaries at the last iterate (Φ recomputed so it
     // matches the reported rates, not the pre-update profile).
-    order.clear();
-    order.extend(0..n);
-    order.sort_by(|&a, &b| x[a].total_cmp(&x[b]));
-    sorted_x.clear();
-    sorted_x.extend(order.iter().map(|&i| x[i]));
-    cum_mass.clear();
-    cum_load.clear();
-    cum_mass.push(0.0);
-    cum_load.push(0.0);
-    for &v in &sorted_x {
-        cum_mass.push(cum_mass[cum_mass.len() - 1] + inv_n);
-        cum_load.push(cum_load[cum_load.len() - 1] + v * inv_n);
-    }
-    let load = cum_load[n];
-    phi_sorted(
-        disc,
-        &sorted_x,
-        &cum_mass,
-        &cum_load,
-        load,
-        &mut phi_by_rank,
-    );
-    for (rank, &i) in order.iter().enumerate() {
-        phi[i] = phi_by_rank[rank];
-    }
+    pop.rebuild(disc, &x, |_| inv_n, None);
 
     let k = classes.len();
     let mut class_x = vec![0.0; k];
     let mut class_phi = vec![0.0; k];
-    for i in 0..n {
+    for (i, &xi) in x.iter().enumerate() {
         let c = class_of(i);
-        class_x[c] += x[i];
-        class_phi[c] += phi[i];
+        class_x[c] += xi;
+        class_phi[c] += pop.phi(i);
     }
     for c in 0..k {
         if counts[c] > 0 {
@@ -354,7 +291,7 @@ pub fn solve_finite_probed<P: Probe>(
         class_x,
         class_phi,
         class_counts: counts,
-        load,
+        load: pop.total_load(),
         sweeps,
         residual,
         converged,

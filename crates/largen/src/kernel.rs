@@ -1,37 +1,142 @@
-//! Shared numeric kernels: the deviator's congestion slope per
-//! discipline, the population congestion profile, and the safeguarded
-//! Newton/bisection inner solve.
+//! Shared numeric kernels: the sorted population both solvers play
+//! against, the deviator's congestion slope per discipline, and the
+//! safeguarded Newton/bisection inner solve.
 //!
-//! Both solvers summarize the opposing population the same way — scaled
-//! rates sorted ascending with cumulative masses and mass-weighted loads
-//! — so one kernel serves the finite-`N` engine (uniform masses `1/N`,
-//! self-exclusion, capacity cap) and the continuum fixed point (class
-//! masses `w_c`, measure-zero deviator) alike.
+//! Both solvers summarize the opposing population the same way — one
+//! [`Population`] of scaled rates sorted ascending with cumulative
+//! masses, mass-weighted loads and Φ by rank, rebuilt in place every
+//! sweep — so one kernel serves the finite-`N` engine (uniform masses
+//! `1/N`, self-exclusion, capacity cap) and the continuum fixed point
+//! (class masses `w_c`, measure-zero deviator) alike. A best response
+//! names its deviator by member index; the Fair Share/SFQ slope searches
+//! the sorted rates from that member's own rank, so a Newton probe `d`
+//! ranks away costs `O(log d)` and a probe outside the population `O(1)`.
 
 use crate::model::{LargenDiscipline, SFQ_BETA};
 use greednet_core::utility::Utility;
 use greednet_queueing::mm1::{g, g_double_prime, g_prime};
 
-/// A borrowed view of the previous-iterate population in sorted order.
+/// The previous iterate's population in sorted order, in buffers reused
+/// across sweeps.
 ///
-/// `cum_mass[k]` / `cum_load[k]` are the total mass and mass-weighted
-/// scaled load of the first `k` sorted members (so index `n` holds the
-/// totals); `total_load` is the aggregate offered load `R`.
-pub(crate) struct PopView<'a> {
-    pub sorted_x: &'a [f64],
-    pub cum_mass: &'a [f64],
-    pub cum_load: &'a [f64],
-    pub total_load: f64,
+/// `order[r]` is the member at rank `r` (ascending scaled rate, ties in
+/// index order) and `rank_of` its inverse; `cum_mass[k]` / `cum_load[k]`
+/// are the total mass and mass-weighted scaled load of the first `k`
+/// ranks (so index `n` holds the totals); `phi_by_rank[r]` is the scaled
+/// congestion `Φ` of rank `r` at the aggregate offered load `total_load`.
+#[derive(Default)]
+pub(crate) struct Population {
+    order: Vec<usize>,
+    rank_of: Vec<usize>,
+    sorted_x: Vec<f64>,
+    cum_mass: Vec<f64>,
+    cum_load: Vec<f64>,
+    phi_by_rank: Vec<f64>,
+    total_load: f64,
 }
 
-impl PopView<'_> {
-    /// Mass and load of members with scaled rate strictly below `x`.
+impl Population {
+    /// Rebuilds the summary of scaled rates `x` with member masses
+    /// `mass(i)`. `Φ` is evaluated at `total_load` when the caller has
+    /// already summed the load in its own order, else at the sorted
+    /// total `cum_load[n]`.
+    // gn:hot(amortized)
+    pub(crate) fn rebuild(
+        &mut self,
+        disc: LargenDiscipline,
+        x: &[f64],
+        mass: impl Fn(usize) -> f64,
+        total_load: Option<f64>,
+    ) {
+        let n = x.len();
+        self.order.clear();
+        self.order.extend(0..n);
+        self.order.sort_by(|&a, &b| x[a].total_cmp(&x[b]));
+        self.sorted_x.clear();
+        self.sorted_x.extend(self.order.iter().map(|&i| x[i]));
+        self.rank_of.resize(n, 0);
+        self.cum_mass.clear();
+        self.cum_mass.resize(n + 1, 0.0);
+        self.cum_load.clear();
+        self.cum_load.resize(n + 1, 0.0);
+        for (rank, &i) in self.order.iter().enumerate() {
+            self.rank_of[i] = rank;
+            let m = mass(i);
+            self.cum_mass[rank + 1] = self.cum_mass[rank] + m;
+            self.cum_load[rank + 1] = self.cum_load[rank] + self.sorted_x[rank] * m;
+        }
+        self.total_load = total_load.unwrap_or(self.cum_load[n]);
+        phi_sorted(
+            disc,
+            &self.sorted_x,
+            &self.cum_mass,
+            &self.cum_load,
+            self.total_load,
+            &mut self.phi_by_rank,
+        );
+    }
+
+    /// The aggregate offered load `R` the profile was evaluated at.
+    pub(crate) fn total_load(&self) -> f64 {
+        self.total_load
+    }
+
+    /// Scaled congestion `Φ` of member `i`.
+    pub(crate) fn phi(&self, i: usize) -> f64 {
+        self.phi_by_rank[self.rank_of[i]]
+    }
+
+    /// Mass and load of members with scaled rate strictly below `x`,
+    /// searched from rank `*finger` (see [`rank_below`]).
     /// Strict inequality makes the serialized load tie-invariant: members
     /// tied with the deviator are clamped at `x` either way.
-    fn below(&self, x: f64) -> (f64, f64) {
-        let k = self.sorted_x.partition_point(|&v| v < x);
+    fn below(&self, x: f64, finger: &mut usize) -> (f64, f64) {
+        let k = rank_below(&self.sorted_x, x, finger);
         (self.cum_mass[k], self.cum_load[k])
     }
+}
+
+/// `sorted.partition_point(|&v| v < x)` for a NaN-free slice in
+/// ascending order, searched from rank `*finger`.
+///
+/// A probe at or below the first member (NaN included) or above the last
+/// is answered in `O(1)` and leaves the finger alone: best responses
+/// probe `X_FLOOR` and the capacity cap before Newton starts. Any other
+/// probe gallops outward from the finger (clamped into the slice),
+/// binary-searches the bracket it finds and moves the finger to its
+/// answer, so it costs `O(log d)` for an answer `d` ranks away.
+// gn:hot
+fn rank_below(sorted: &[f64], x: f64, finger: &mut usize) -> usize {
+    let n = sorted.len();
+    // A NaN probe fails this comparison too and lands at 0.
+    if !sorted.first().is_some_and(|&first| first < x) {
+        return 0;
+    }
+    if x > sorted[n - 1] {
+        return n;
+    }
+    // Now sorted[0] < x <= sorted[n - 1]; find lo <= hi with
+    // sorted[lo - 1] < x <= sorted[hi], so the answer lies in lo..=hi.
+    let f = (*finger).min(n - 1);
+    let mut step = 1;
+    let (lo, hi) = if sorted[f] < x {
+        let mut lo = f + 1;
+        while f + step < n - 1 && sorted[f + step] < x {
+            lo = f + step + 1;
+            step *= 2;
+        }
+        (lo, (f + step).min(n - 1))
+    } else {
+        let mut hi = f;
+        while step < f && sorted[f - step] >= x {
+            hi = f - step;
+            step *= 2;
+        }
+        (f.saturating_sub(step) + 1, hi)
+    };
+    let k = lo + sorted[lo..hi].partition_point(|&v| v < x);
+    *finger = k;
+    k
 }
 
 /// First and second derivatives of the deviator's scaled congestion
@@ -41,12 +146,14 @@ impl PopView<'_> {
 /// finite engine (its deviation moves the aggregate, and its previous
 /// rate `self_prev` must be excluded from the opposing population) and
 /// `0` in the continuum (a measure-zero deviation leaves every aggregate
-/// untouched, and the exclusion terms vanish identically).
+/// untouched, and the exclusion terms vanish identically). `finger` is
+/// the rank the Fair Share/SFQ search for `x` starts from.
 // gn:hot
-pub(crate) fn phi_slope(
+fn phi_slope(
     disc: LargenDiscipline,
-    pop: &PopView<'_>,
+    pop: &Population,
     x: f64,
+    finger: &mut usize,
     self_prev: f64,
     self_mass: f64,
 ) -> (f64, f64) {
@@ -66,7 +173,7 @@ pub(crate) fn phi_slope(
             // dΦ/dx = g'(s(x)) with the serialized load
             // s(x) = load_below + (1 − mass_below)·x  (everyone at or
             // above the deviator clamped down to x).
-            let (mut mb, mut lb) = pop.below(x);
+            let (mut mb, mut lb) = pop.below(x, finger);
             if self_prev < x {
                 mb -= self_mass;
                 lb -= self_mass * self_prev;
@@ -91,7 +198,7 @@ pub(crate) fn phi_slope(
 /// `greednet_queueing::fair_share`. Members whose serialized subsystem is
 /// overloaded (`S_k ≥ 1`) get `+∞`, as do all heavier members.
 // gn:hot(amortized)
-pub(crate) fn phi_sorted(
+fn phi_sorted(
     disc: LargenDiscipline,
     sorted_x: &[f64],
     cum_mass: &[f64],
@@ -101,6 +208,7 @@ pub(crate) fn phi_sorted(
 ) {
     let n = sorted_x.len();
     out.clear();
+    out.reserve(n);
     match disc {
         LargenDiscipline::Fifo => {
             if total_load >= 1.0 {
@@ -143,8 +251,8 @@ pub(crate) fn phi_sorted(
 /// shrinking bracket, otherwise the step falls back to bisection, so the
 /// iteration is unconditionally convergent and fully deterministic.
 // gn:hot
-pub(crate) fn solve_increasing<F: Fn(f64) -> (f64, f64)>(
-    eval: &F,
+pub(crate) fn solve_increasing<F: FnMut(f64) -> (f64, f64)>(
+    mut eval: F,
     mut lo: f64,
     mut hi: f64,
     x0: f64,
@@ -177,29 +285,30 @@ pub(crate) fn solve_increasing<F: Fn(f64) -> (f64, f64)>(
 /// derivative condition is treated as cornered at zero).
 const X_FLOOR: f64 = 1e-12;
 
-/// The finite-`N` best response: the deviator (mass `1/N`) re-optimizes
-/// its scaled rate against the frozen population, with its congestion
-/// sensitivity `M` evaluated at the previous sweep's `Φ` (exact at the
-/// fixed point). The response is capped at the residual capacity
-/// `(1 − R_others)·N`, where both FIFO and the serial disciplines
-/// saturate.
+/// The finite-`N` best response of member `i`: the deviator (mass `1/N`)
+/// re-optimizes its scaled rate against the frozen population, with its
+/// congestion sensitivity `M` evaluated at the previous sweep's `Φ`
+/// (exact at the fixed point). The response is capped at the residual
+/// capacity `(1 − R_others)·N`, where both FIFO and the serial
+/// disciplines saturate.
 // gn:hot
 pub(crate) fn best_response_finite(
     disc: LargenDiscipline,
-    pop: &PopView<'_>,
+    pop: &Population,
     utility: &dyn Utility,
-    phi_frozen: f64,
-    self_prev: f64,
+    i: usize,
     self_mass: f64,
     tol: f64,
 ) -> f64 {
+    let mut finger = pop.rank_of[i];
+    let (self_prev, phi_frozen) = (pop.sorted_x[finger], pop.phi_by_rank[finger]);
     let load_others = pop.total_load - self_mass * self_prev;
     let cap = (1.0 - load_others) / self_mass;
     if cap <= X_FLOOR {
         return 0.0;
     }
-    let eval = |x: f64| {
-        let (d1, d2) = phi_slope(disc, pop, x, self_prev, self_mass);
+    let mut eval = |x: f64| {
+        let (d1, d2) = phi_slope(disc, pop, x, &mut finger, self_prev, self_mass);
         (
             utility.marginal_ratio(x, phi_frozen) + d1,
             utility.dm_dr(x, phi_frozen) + d2,
@@ -216,25 +325,26 @@ pub(crate) fn best_response_finite(
         // aggregate back under control on the next sweep.
         return hi;
     }
-    solve_increasing(&eval, X_FLOOR, hi, self_prev, tol)
+    solve_increasing(eval, X_FLOOR, hi, self_prev, tol)
 }
 
-/// The continuum best response: a measure-zero deviator re-optimizes
-/// against the fixed aggregate. There is no capacity cap — the bracket
-/// grows by doubling — so a utility that outruns the discipline's
-/// marginal congestion forever yields `None` (an unbounded best
-/// response, surfaced as an error by the fixed-point solver).
+/// The continuum best response of class `i`: a measure-zero deviator
+/// re-optimizes against the fixed aggregate. There is no capacity cap —
+/// the bracket grows by doubling — so a utility that outruns the
+/// discipline's marginal congestion forever yields `None` (an unbounded
+/// best response, surfaced as an error by the fixed-point solver).
 // gn:hot
 pub(crate) fn best_response_continuum(
     disc: LargenDiscipline,
-    pop: &PopView<'_>,
+    pop: &Population,
     utility: &dyn Utility,
-    phi_frozen: f64,
-    self_prev: f64,
+    i: usize,
     tol: f64,
 ) -> Option<f64> {
-    let eval = |x: f64| {
-        let (d1, d2) = phi_slope(disc, pop, x, self_prev, 0.0);
+    let mut finger = pop.rank_of[i];
+    let (self_prev, phi_frozen) = (pop.sorted_x[finger], pop.phi_by_rank[finger]);
+    let mut eval = |x: f64| {
+        let (d1, d2) = phi_slope(disc, pop, x, &mut finger, self_prev, 0.0);
         (
             utility.marginal_ratio(x, phi_frozen) + d1,
             utility.dm_dr(x, phi_frozen) + d2,
@@ -257,36 +367,27 @@ pub(crate) fn best_response_continuum(
     if !bracketed {
         return None;
     }
-    Some(solve_increasing(&eval, X_FLOOR, hi, self_prev, tol))
+    Some(solve_increasing(eval, X_FLOOR, hi, self_prev, tol))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use greednet_core::utility::LogUtility;
+    use proptest::prelude::*;
 
-    fn singleton_pop<'a>(
-        sorted_x: &'a [f64],
-        cum_mass: &'a [f64],
-        cum_load: &'a [f64],
-    ) -> PopView<'a> {
-        PopView {
-            sorted_x,
-            cum_mass,
-            cum_load,
-            total_load: cum_load[cum_load.len() - 1],
-        }
+    fn population(disc: LargenDiscipline, x: &[f64], mass: f64) -> Population {
+        let mut pop = Population::default();
+        pop.rebuild(disc, x, |_| mass, None);
+        pop
     }
 
     #[test]
     fn fifo_slope_matches_closed_form() {
         // Two continuum classes at x = 0.3, 0.4 with masses 0.5/0.5:
         // R = 0.35, dΦ/dx = 1/(1−R), d² = 0 for a measure-zero deviator.
-        let sorted = [0.3, 0.4];
-        let mass = [0.0, 0.5, 1.0];
-        let load = [0.0, 0.15, 0.35];
-        let pop = singleton_pop(&sorted, &mass, &load);
-        let (d1, d2) = phi_slope(LargenDiscipline::Fifo, &pop, 0.7, 0.3, 0.0);
+        let pop = population(LargenDiscipline::Fifo, &[0.3, 0.4], 0.5);
+        let (d1, d2) = phi_slope(LargenDiscipline::Fifo, &pop, 0.7, &mut 0, 0.3, 0.0);
         assert!((d1 - 1.0 / 0.65).abs() < 1e-12);
         assert_eq!(d2, 0.0);
     }
@@ -294,16 +395,13 @@ mod tests {
     #[test]
     fn serial_slope_is_g_prime_of_clamped_load() {
         // Deviator at x between the two classes: s = w1·x1 + (1−w1)·x.
-        let sorted = [0.2, 0.6];
-        let mass = [0.0, 0.5, 1.0];
-        let load = [0.0, 0.1, 0.4];
-        let pop = singleton_pop(&sorted, &mass, &load);
+        let pop = population(LargenDiscipline::FairShare, &[0.2, 0.6], 0.5);
         let x = 0.4;
         let s = 0.1 + 0.5 * x;
-        let (d1, _) = phi_slope(LargenDiscipline::FairShare, &pop, x, 0.6, 0.0);
+        let (d1, _) = phi_slope(LargenDiscipline::FairShare, &pop, x, &mut 1, 0.6, 0.0);
         assert!((d1 - g_prime(s)).abs() < 1e-12);
         // SFQ adds the packetization slack.
-        let (d1_sfq, _) = phi_slope(LargenDiscipline::Sfq, &pop, x, 0.6, 0.0);
+        let (d1_sfq, _) = phi_slope(LargenDiscipline::Sfq, &pop, x, &mut 1, 0.6, 0.0);
         assert!((d1_sfq - (g_prime(s) + SFQ_BETA)).abs() < 1e-12);
     }
 
@@ -313,35 +411,16 @@ mod tests {
         // serial recursion: Φ_i must equal n·C_i from the queueing crate.
         use greednet_queueing::{AllocationFunction, FairShare};
         let x = [0.9, 0.3, 0.6, 0.3];
-        let n = x.len();
-        let nf = n as f64;
+        let nf = x.len() as f64;
         let rates: Vec<f64> = x.iter().map(|&v| v / nf).collect();
         let c = FairShare::new().congestion(&rates);
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&a, &b| x[a].total_cmp(&x[b]));
-        let sorted: Vec<f64> = order.iter().map(|&i| x[i]).collect();
-        let mut cum_mass = vec![0.0];
-        let mut cum_load = vec![0.0];
-        for &v in &sorted {
-            cum_mass.push(cum_mass[cum_mass.len() - 1] + 1.0 / nf);
-            cum_load.push(cum_load[cum_load.len() - 1] + v / nf);
-        }
-        let total = cum_load[n];
-        let mut phi = Vec::new();
-        phi_sorted(
-            LargenDiscipline::FairShare,
-            &sorted,
-            &cum_mass,
-            &cum_load,
-            total,
-            &mut phi,
-        );
-        for (k, &i) in order.iter().enumerate() {
+        let pop = population(LargenDiscipline::FairShare, &x, 1.0 / nf);
+        for (i, &ci) in c.iter().enumerate() {
             assert!(
-                (phi[k] - nf * c[i]).abs() < 1e-9,
+                (pop.phi(i) - nf * ci).abs() < 1e-9,
                 "user {i}: {} vs {}",
-                phi[k],
-                nf * c[i]
+                pop.phi(i),
+                nf * ci
             );
         }
     }
@@ -350,7 +429,7 @@ mod tests {
     fn solve_increasing_finds_the_root() {
         // F(x) = x² − 2 on [0, 4]: root √2, derivative 2x.
         let eval = |x: f64| (x * x - 2.0, 2.0 * x);
-        let root = solve_increasing(&eval, 0.0, 4.0, 3.5, 1e-14);
+        let root = solve_increasing(eval, 0.0, 4.0, 3.5, 1e-14);
         assert!((root - 2.0f64.sqrt()).abs() < 1e-10);
     }
 
@@ -358,12 +437,54 @@ mod tests {
     fn continuum_fifo_log_best_response_is_closed_form() {
         // −w/(γx) + 1/(1−R) = 0  ⇒  x* = (w/γ)(1−R).
         let u = LogUtility::new(0.8, 1.0);
-        let sorted = [0.5];
-        let mass = [0.0, 1.0];
-        let load = [0.0, 0.5];
-        let pop = singleton_pop(&sorted, &mass, &load);
-        let x = best_response_continuum(LargenDiscipline::Fifo, &pop, &u, 1.0, 0.5, 1e-14)
-            .expect("bounded");
+        let pop = population(LargenDiscipline::Fifo, &[0.5], 1.0);
+        let x =
+            best_response_continuum(LargenDiscipline::Fifo, &pop, &u, 0, 1e-14).expect("bounded");
         assert!((x - 0.8 * 0.5).abs() < 1e-10, "{x}");
+    }
+
+    /// Values with edges of their own: infinities, signed zeros, and a
+    /// short grid that repeats into runs of ties.
+    const EDGES: [f64; 7] = [f64::NEG_INFINITY, -1.0, -0.0, 0.0, 0.5, 1.0, f64::INFINITY];
+
+    /// A sorted slice of up to 40 values, each an edge value or an
+    /// arbitrary one; empty slices included.
+    fn sorted_slice() -> impl Strategy<Value = Vec<f64>> {
+        proptest::collection::vec((0..EDGES.len() + 3, -2.0..2.0f64), 0..40).prop_map(|picks| {
+            let mut v: Vec<f64> = picks
+                .into_iter()
+                .map(|(k, r)| EDGES.get(k).copied().unwrap_or(r))
+                .collect();
+            v.sort_by(f64::total_cmp);
+            v
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn rank_below_is_partition_point_from_any_finger(
+            sorted in sorted_slice(),
+            (pick, at, r) in (0usize..9, 0usize..64, -3.0..3.0f64),
+        ) {
+            let n = sorted.len();
+            let x = match pick {
+                0 => f64::NAN,
+                1 => f64::NEG_INFINITY,
+                2 => f64::INFINITY,
+                3 => sorted.first().map_or(r, |&v| v - 1.0),
+                4 => sorted.last().map_or(r, |&v| v + 1.0),
+                5 | 6 if n > 0 => sorted[at % n],
+                _ => r,
+            };
+            let want = sorted.partition_point(|&v| v < x);
+            for hint in 0..=n + 2 {
+                let mut finger = hint;
+                let k = rank_below(&sorted, x, &mut finger);
+                prop_assert!(k == want, "x {x}, hint {hint}: {k} vs {want} in {sorted:?}");
+                // Only a probe strictly inside the population moves the finger.
+                let moved = if (1..n).contains(&want) { want } else { hint };
+                prop_assert!(finger == moved, "x {x}, hint {hint}: finger {finger}");
+            }
+        }
     }
 }

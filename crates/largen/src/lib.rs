@@ -11,7 +11,9 @@
 //! - **share-scale variables** `x = N·r`, `Φ = N·C`, aggregate load
 //!   `R = (1/N)·Σ x_i`, so equilibria have a well-defined limit;
 //! - a **sorted-prefix congestion profile** — Fair Share for the whole
-//!   population in `O(N log N)` per sweep;
+//!   population in `O(N log N)` per sweep, built in one place and
+//!   searched from each deviator's own rank, so a Newton probe `d` ranks
+//!   away costs `O(log d)`;
 //! - a **safeguarded Newton best response** per user/class against the
 //!   frozen previous iterate, damped Jacobi outside.
 //!

@@ -12,7 +12,7 @@
 //! (`10^-6`) to stabilize heavy-traffic best-response slopes of order
 //! `w/γ` (experiment E18).
 
-use crate::kernel::{best_response_continuum, phi_sorted, PopView};
+use crate::kernel::{best_response_continuum, Population};
 use crate::model::{validate, ClassSpec, LargenDiscipline, LargenError, SolveOptions};
 use greednet_numerics::conv;
 use greednet_telemetry::{NoopProbe, Probe, SolverEvent};
@@ -82,12 +82,7 @@ pub fn solve_mean_field_probed<P: Probe>(
         None => vec![DEFAULT_INIT; k],
     };
 
-    let mut order: Vec<usize> = Vec::with_capacity(k);
-    let mut sorted_x: Vec<f64> = Vec::with_capacity(k);
-    let mut cum_mass: Vec<f64> = Vec::with_capacity(k + 1);
-    let mut cum_load: Vec<f64> = Vec::with_capacity(k + 1);
-    let mut phi_by_rank: Vec<f64> = Vec::with_capacity(k);
-    let mut phi: Vec<f64> = vec![0.0; k];
+    let mut pop = Population::default();
     let mut br: Vec<f64> = vec![0.0; k];
 
     let inner_tol = opts.tol * 1e-2;
@@ -133,47 +128,10 @@ pub fn solve_mean_field_probed<P: Probe>(
             continue;
         }
 
-        order.clear();
-        order.extend(0..k);
-        order.sort_by(|&a, &b| x[a].total_cmp(&x[b]));
-        sorted_x.clear();
-        sorted_x.extend(order.iter().map(|&i| x[i]));
-        cum_mass.clear();
-        cum_load.clear();
-        cum_mass.push(0.0);
-        cum_load.push(0.0);
-        for (rank, &i) in order.iter().enumerate() {
-            cum_mass.push(cum_mass[rank] + weights[i]);
-            cum_load.push(cum_load[rank] + sorted_x[rank] * weights[i]);
-        }
-        phi_sorted(
-            disc,
-            &sorted_x,
-            &cum_mass,
-            &cum_load,
-            total_load,
-            &mut phi_by_rank,
-        );
-        for (rank, &i) in order.iter().enumerate() {
-            phi[i] = phi_by_rank[rank];
-        }
-
-        let pop = PopView {
-            sorted_x: &sorted_x,
-            cum_mass: &cum_mass,
-            cum_load: &cum_load,
-            total_load,
-        };
+        pop.rebuild(disc, &x, |c| weights[c], Some(total_load));
         for c in 0..k {
-            br[c] = best_response_continuum(
-                disc,
-                &pop,
-                classes[c].utility.as_ref(),
-                phi[c],
-                x[c],
-                inner_tol,
-            )
-            .ok_or(LargenError::Unbounded { class: c })?;
+            br[c] = best_response_continuum(disc, &pop, classes[c].utility.as_ref(), c, inner_tol)
+                .ok_or(LargenError::Unbounded { class: c })?;
         }
 
         residual = 0.0;
@@ -242,34 +200,10 @@ pub fn solve_mean_field_probed<P: Probe>(
 
     // Report Φ at the final profile so (x, Φ, load) are consistent.
     let total_load: f64 = x.iter().zip(weights.iter()).map(|(&v, &w)| v * w).sum();
-    order.clear();
-    order.extend(0..k);
-    order.sort_by(|&a, &b| x[a].total_cmp(&x[b]));
-    sorted_x.clear();
-    sorted_x.extend(order.iter().map(|&i| x[i]));
-    cum_mass.clear();
-    cum_load.clear();
-    cum_mass.push(0.0);
-    cum_load.push(0.0);
-    for (rank, &i) in order.iter().enumerate() {
-        cum_mass.push(cum_mass[rank] + weights[i]);
-        cum_load.push(cum_load[rank] + sorted_x[rank] * weights[i]);
-    }
-    phi_sorted(
-        disc,
-        &sorted_x,
-        &cum_mass,
-        &cum_load,
-        total_load,
-        &mut phi_by_rank,
-    );
-    for (rank, &i) in order.iter().enumerate() {
-        phi[i] = phi_by_rank[rank];
-    }
-
+    pop.rebuild(disc, &x, |c| weights[c], Some(total_load));
     Ok(MeanFieldSolution {
+        phi: (0..k).map(|c| pop.phi(c)).collect(),
         x,
-        phi,
         load: total_load,
         steps,
         residual,

@@ -1,0 +1,305 @@
+//! Pinned result goldens for both large-`N` solvers.
+//!
+//! `thread_determinism.rs` only compares solves with each other, so a
+//! kernel change that moved every result the same way at every thread
+//! count would pass it. These goldens close that gap: each entry holds
+//! the bits of every field of one `FiniteSolution` or
+//! `MeanFieldSolution`, recorded before the Fair Share rank search
+//! started from the deviator's own rank instead of scanning the whole
+//! sorted population. They cover FIFO, Fair Share and SFQ for
+//!
+//! * the three comfortable log classes (`w = 0.6, 0.5, 0.4`, `γ = 1`)
+//!   at `N = 3001`, seed 7, default options, and
+//! * the heavy class (`w = 1, γ = 10^-3`, `tol = 10^-7`, 2000 sweeps) at
+//!   `N = 2000`, seed 1, load ≈ 0.97, where Fair Share Newton iterates
+//!   roam farthest from the deviator's rank.
+//!
+//! A mismatch prints the whole table of fresh words; re-pin only for a
+//! deliberate change of solver semantics, and say why.
+
+use greednet_core::utility::{LogUtility, UtilityExt};
+use greednet_largen::{
+    solve_finite, solve_mean_field, ClassSpec, FiniteSolution, LargenDiscipline, MeanFieldSolution,
+    SolveOptions,
+};
+
+fn log_classes() -> (Vec<ClassSpec>, SolveOptions) {
+    let classes = [0.6, 0.5, 0.4]
+        .iter()
+        .map(|&w| ClassSpec::new(LogUtility::new(w, 1.0).boxed(), 1.0))
+        .collect();
+    (classes, SolveOptions::default())
+}
+
+fn heavy_class() -> (Vec<ClassSpec>, SolveOptions) {
+    let classes = vec![ClassSpec::new(LogUtility::new(1.0, 1e-3).boxed(), 1.0)];
+    let opts = SolveOptions {
+        tol: 1e-7,
+        max_sweeps: 2000,
+        ..SolveOptions::default()
+    };
+    (classes, opts)
+}
+
+fn bits(v: &[f64]) -> impl Iterator<Item = u64> + '_ {
+    v.iter().map(|x| x.to_bits())
+}
+
+/// Every `FiniteSolution` field as words: `sweeps`, `converged`,
+/// `residual`, `load`, then `class_x`, `class_phi` and `class_counts`.
+fn finite_words(s: &FiniteSolution) -> Vec<u64> {
+    let mut w = vec![
+        u64::from(s.sweeps),
+        u64::from(s.converged),
+        s.residual.to_bits(),
+        s.load.to_bits(),
+    ];
+    w.extend(bits(&s.class_x));
+    w.extend(bits(&s.class_phi));
+    w.extend(&s.class_counts);
+    w
+}
+
+/// Every `MeanFieldSolution` field as words: `steps`, `converged`,
+/// `residual`, `load`, then `x` and `phi`.
+fn mean_field_words(s: &MeanFieldSolution) -> Vec<u64> {
+    let mut w = vec![
+        u64::from(s.steps),
+        u64::from(s.converged),
+        s.residual.to_bits(),
+        s.load.to_bits(),
+    ];
+    w.extend(bits(&s.x));
+    w.extend(bits(&s.phi));
+    w
+}
+
+/// Finite and continuum solves of one class set under every discipline.
+fn cases(
+    set: &str,
+    (classes, opts): (Vec<ClassSpec>, SolveOptions),
+    n: usize,
+    seed: u64,
+) -> Vec<(String, Vec<u64>)> {
+    let mut out = Vec::new();
+    for disc in LargenDiscipline::ALL {
+        let sol = solve_finite(disc, &classes, n, seed, 1, &opts).expect("finite solve");
+        out.push((format!("{set} {} finite", disc.name()), finite_words(&sol)));
+        let sol = solve_mean_field(disc, &classes, &opts).expect("continuum solve");
+        out.push((
+            format!("{set} {} continuum", disc.name()),
+            mean_field_words(&sol),
+        ));
+    }
+    out
+}
+
+fn assert_goldens(got: &[(String, Vec<u64>)], want: &[(&str, &[u64])]) {
+    let table: String = got
+        .iter()
+        .map(|(label, words)| {
+            let words: Vec<String> = words.iter().map(|w| format!("{w:#018x}")).collect();
+            format!("    ({label:?}, &[{}]),\n", words.join(", "))
+        })
+        .collect();
+    let labels: Vec<&str> = got.iter().map(|(l, _)| l.as_str()).collect();
+    let want_labels: Vec<&str> = want.iter().map(|(l, _)| *l).collect();
+    assert_eq!(
+        labels, want_labels,
+        "golden labels moved; fresh table:\n{table}"
+    );
+    let moved: Vec<&str> = got
+        .iter()
+        .zip(want)
+        .filter(|((_, g), (_, w))| g.as_slice() != *w)
+        .map(|((l, _), _)| l.as_str())
+        .collect();
+    assert!(
+        moved.is_empty(),
+        "result bits moved for {moved:?}; fresh table:\n{table}"
+    );
+}
+
+#[test]
+fn log_classes_match_pinned_goldens() {
+    assert_goldens(&cases("log3", log_classes(), 3_001, 7), LOG_GOLDENS);
+}
+
+#[test]
+fn heavy_class_matches_pinned_goldens() {
+    assert_goldens(&cases("heavy", heavy_class(), 2_000, 1), HEAVY_GOLDENS);
+}
+
+const LOG_GOLDENS: &[(&str, &[u64])] = &[
+    (
+        "log3 fifo finite",
+        &[
+            0x0000000000000025,
+            0x0000000000000001,
+            0x3d6a130000000000,
+            0x3fd554f40c2f1a5b,
+            0x3fd99884a94cd43f,
+            0x3fd5549d1b401e89,
+            0x3fd110a2ef344e07,
+            0x3fe33237b9e5d00d,
+            0x3fdffea2b51ff00b,
+            0x3fd998ba09b54501,
+            0x00000000000003e9,
+            0x00000000000003e8,
+            0x00000000000003e8,
+        ],
+    ),
+    (
+        "log3 fifo continuum",
+        &[
+            0x0000000000000025,
+            0x0000000000000001,
+            0x3d699a0000000000,
+            0x3fd5555555555556,
+            0x3fd9999999998000,
+            0x3fd5555555555556,
+            0x3fd1111111112aac,
+            0x3fe3333333332000,
+            0x3fe0000000000001,
+            0x3fd999999999c002,
+        ],
+    ),
+    (
+        "log3 fs finite",
+        &[
+            0x0000000000000023,
+            0x0000000000000001,
+            0x3d70316000000000,
+            0x3fd19275d59f96fb,
+            0x3fd4355142065427,
+            0x3fd1806576766e1e,
+            0x3fce01fc09e4930a,
+            0x3fdd0e237d6bae65,
+            0x3fd8028ed29b513b,
+            0x3fd39933fe05bf6e,
+            0x00000000000003e9,
+            0x00000000000003e8,
+            0x00000000000003e8,
+        ],
+    ),
+    (
+        "log3 fs continuum",
+        &[
+            0x0000000000000023,
+            0x0000000000000001,
+            0x3d6fe08000000000,
+            0x3fd1924b868f7336,
+            0x3fd4357616c76b72,
+            0x3fd1806e77f4a4d4,
+            0x3fce01fc09e492bc,
+            0x3fdd0e603af0899b,
+            0x3fd8029d9820c587,
+            0x3fd39933fe05bf64,
+        ],
+    ),
+    (
+        "log3 sfq finite",
+        &[
+            0x0000000000000025,
+            0x0000000000000001,
+            0x3d6bff4000000000,
+            0x3fcde8b2f923aa63,
+            0x3fd16eb38808fa15,
+            0x3fcdd31140fb4107,
+            0x3fc9085bd09d8b73,
+            0x3fe0286233909690,
+            0x3fdad61c111418f0,
+            0x3fd5d13ebd624e59,
+            0x00000000000003e9,
+            0x00000000000003e8,
+            0x00000000000003e8,
+        ],
+    ),
+    (
+        "log3 sfq continuum",
+        &[
+            0x0000000000000025,
+            0x0000000000000001,
+            0x3d6bde8000000000,
+            0x3fcde85aec15485e,
+            0x3fd16ecbb95279af,
+            0x3fcdd31d80fd5aad,
+            0x3fc9085bd09d8b13,
+            0x3fe02879496e4fef,
+            0x3fdad627dfd53410,
+            0x3fd5d13ebd624e2d,
+        ],
+    ),
+];
+
+const HEAVY_GOLDENS: &[(&str, &[u64])] = &[
+    (
+        "heavy fifo finite",
+        &[
+            0x0000000000000039,
+            0x0000000000000001,
+            0x3e5b3d43a4000000,
+            0x3feff4d325247f5e,
+            0x3feff4d325248001,
+            0x4086e0680d29fdaf,
+            0x00000000000007d0,
+        ],
+    ),
+    (
+        "heavy fifo continuum",
+        &[
+            0x000000000000003d,
+            0x0000000000000001,
+            0x3e662c601c000000,
+            0x3feff7d0f16c4ea4,
+            0x3feff7d0f16c4ea4,
+            0x408f4000007ca228,
+        ],
+    ),
+    (
+        "heavy fs finite",
+        &[
+            0x0000000000000026,
+            0x0000000000000001,
+            0x3e6805d810000000,
+            0x3fef010284dd6dba,
+            0x3fef010284dd6da7,
+            0x403f20715ec5fb43,
+            0x00000000000007d0,
+        ],
+    ),
+    (
+        "heavy fs continuum",
+        &[
+            0x0000000000000044,
+            0x0000000000000001,
+            0x3e700fd7f1800000,
+            0x3fef010294915cb4,
+            0x3fef010294915cb4,
+            0x403f20735940a657,
+        ],
+    ),
+    (
+        "heavy sfq finite",
+        &[
+            0x0000000000000026,
+            0x0000000000000001,
+            0x3e6b25fe42000000,
+            0x3fef00f2f3c84c9b,
+            0x3fef00f2f3c84c92,
+            0x403f9a7f3287063e,
+            0x00000000000007d0,
+        ],
+    ),
+    (
+        "heavy sfq continuum",
+        &[
+            0x0000000000000043,
+            0x0000000000000001,
+            0x3e7a9c0eb2800000,
+            0x3fef00f30dfc9910,
+            0x3fef00f30dfc9910,
+            0x403f9a827fb9fee8,
+        ],
+    ),
+];
