@@ -1,6 +1,7 @@
 //! Hand-rolled argument parsing for the `greednet` CLI (no external
 //! dependencies; the grammar is tiny).
 
+use greednet_serve::request::{DEFAULT_CLASSES, DEFAULT_USERS};
 use std::fmt;
 
 /// Usage text.
@@ -22,7 +23,7 @@ COMMANDS:
                --discipline fifo|lifo|ps|sp|fs|sfq   (default fs)
                --horizon T               (default 100000)
                --warmup T                (default horizon/10)
-               --windows K               batch-means windows (default 20)
+               --windows K               batch-means windows (default 32)
                --seed S                  (default 1)
                --service M|D|E<k>|H2:<cs2>   (default M)
                --trace FILE              write packet events as JSONL
@@ -317,9 +318,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
         "help" | "--help" | "-h" => Ok(Command::Help),
         "nash" => {
             let opts = options(rest)?;
-            let users = parse_users(
-                get(&opts, "users").unwrap_or("log:0.5,1.0;log:1.0,1.0;linear:1.0,0.3"),
-            )?;
+            let users = parse_users(get(&opts, "users").unwrap_or(DEFAULT_USERS))?;
             Ok(Command::Nash(NashArgs {
                 discipline: get(&opts, "discipline").unwrap_or("fs").to_string(),
                 users,
@@ -414,9 +413,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 .unwrap_or("10000")
                 .parse()
                 .map_err(|_| ParseError("bad --n".into()))?;
-            let classes = parse_users(
-                get(&opts, "classes").unwrap_or("log:0.6,1.0;log:0.5,1.0;log:0.4,1.0"),
-            )?;
+            let classes = parse_users(get(&opts, "classes").unwrap_or(DEFAULT_CLASSES))?;
             let weights: Vec<f64> = match get(&opts, "weights") {
                 Some(s) => {
                     parse_rates(s).map_err(|_| ParseError(format!("invalid weight list '{s}'")))?
@@ -476,6 +473,16 @@ mod tests {
         assert_eq!(parse(&[]).unwrap(), Command::Help);
         assert_eq!(parse(&argv("help")).unwrap(), Command::Help);
         assert_eq!(parse(&argv("--help")).unwrap(), Command::Help);
+    }
+
+    #[test]
+    fn usage_states_the_default_window_count() {
+        let line = USAGE
+            .lines()
+            .find(|l| l.contains("--windows K"))
+            .expect("simulate lists --windows");
+        let default = format!("(default {})", greednet_des::DEFAULT_WINDOWS);
+        assert!(line.ends_with(&default), "{line}");
     }
 
     #[test]

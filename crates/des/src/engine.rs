@@ -50,6 +50,11 @@ use greednet_telemetry::{
     CalendarEvent, CalendarEventKind, NoopProbe, PacketEvent, PacketEventKind, Probe,
 };
 
+/// Batch-means windows for the confidence intervals when a caller does
+/// not choose: the `SimConfig`, `EngineConfig::open_loop` and scenario
+/// defaults, and the `greednet simulate` / serve `simulate` default.
+pub const DEFAULT_WINDOWS: usize = 32;
+
 /// Full engine configuration: a mix of open- and closed-loop sources
 /// plus the horizon/statistics parameters the legacy `SimConfig`
 /// carried. `SimConfig` (all-open-loop) converts into this.
@@ -78,14 +83,15 @@ pub struct EngineConfig {
 
 impl EngineConfig {
     /// An all-open-loop configuration with the same defaults as the
-    /// legacy `SimConfig::new` (10% warm-up, 32 windows, M service).
+    /// legacy `SimConfig::new` (10% warm-up, [`DEFAULT_WINDOWS`] windows,
+    /// M service).
     pub fn open_loop(rates: &[f64], horizon: f64, seed: u64) -> Self {
         EngineConfig {
             sources: rates.iter().map(|&r| SourceSpec::open(r)).collect(),
             horizon: SimTime::raw(horizon),
             warmup: SimTime::raw(horizon * 0.1),
             seed,
-            windows: 32,
+            windows: DEFAULT_WINDOWS,
             allow_overload: false,
             service: ServiceDist::Exponential,
             marking_threshold: None,

@@ -73,7 +73,7 @@ pub mod service;
 pub mod sim;
 pub mod units;
 
-pub use engine::{Engine, EngineConfig, EngineReport};
+pub use engine::{Engine, EngineConfig, EngineReport, DEFAULT_WINDOWS};
 pub use entities::{ClosedLoopSpec, Cmd, FlowRecord, SourceSpec};
 pub use error::DesError;
 pub use qdisc::{

@@ -17,7 +17,7 @@
 //!   you"), and lets the FIFO-vs-FQ comparison include the feedback
 //!   loop's behavior, not just the switch's.
 
-use crate::engine::{Engine, EngineConfig, EngineReport};
+use crate::engine::{Engine, EngineConfig, EngineReport, DEFAULT_WINDOWS};
 use crate::entities::{ClosedLoopSpec, SourceSpec};
 use crate::qdisc::{
     Fifo, FsPriorityTable, LifoPreemptive, PreemptivePriority, ProcessorSharing, QDisc,
@@ -306,7 +306,7 @@ impl ClosedScenario {
             horizon: SimTime::raw(horizon),
             warmup: SimTime::raw(horizon * 0.1),
             seed,
-            windows: 32,
+            windows: DEFAULT_WINDOWS,
             allow_overload: true,
             service: ServiceDist::Exponential,
             marking_threshold: self.marking_threshold,

@@ -13,7 +13,7 @@
 //! through [`crate::engine::Engine`] directly, which also returns
 //! per-flow records next to the [`SimResult`].
 
-use crate::engine::{Engine, EngineConfig};
+use crate::engine::{Engine, EngineConfig, DEFAULT_WINDOWS};
 use crate::qdisc::QDisc;
 use crate::service::ServiceDist;
 use crate::units::{Rate, SimTime};
@@ -63,7 +63,7 @@ impl SimConfig {
             horizon: SimTime::raw(horizon),
             warmup: SimTime::raw(horizon * 0.1),
             seed,
-            windows: 32,
+            windows: DEFAULT_WINDOWS,
             allow_overload: false,
             service: ServiceDist::Exponential,
         }

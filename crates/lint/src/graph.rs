@@ -2,7 +2,7 @@
 //! intra-workspace call graph.
 //!
 //! [`SourceFile`] bundles a file's lexed tokens with [`crate::parse`]'s
-//! item tree and [`crate::types`]' struct/enum items. `find_calls` and
+//! item tree and [`crate::types`]' struct fields. `find_calls` and
 //! `import_scope` are the two halves of name resolution that GN10
 //! ([`crate::hot`]) builds its graph from. Resolution is
 //! *over-approximate by contract* (DESIGN.md §7): free and path calls
@@ -23,8 +23,8 @@ pub struct SourceFile {
     pub ctx: FileContext,
     pub lexed: LexedFile,
     pub parsed: ParsedFile,
-    /// `struct`/`enum` items for the type-aware rules (GN13–GN15).
-    pub types: crate::types::TypeItems,
+    /// Named struct fields for the type-aware rules (GN13, GN15).
+    pub fields: Vec<crate::types::FieldItem>,
 }
 
 impl SourceFile {
@@ -33,12 +33,12 @@ impl SourceFile {
     pub fn new(ctx: FileContext, src: &str) -> SourceFile {
         let lexed = crate::lexer::lex(src);
         let parsed = crate::parse::parse(&lexed);
-        let types = crate::types::parse_types(&lexed);
+        let fields = crate::types::struct_fields(&lexed);
         SourceFile {
             ctx,
             lexed,
             parsed,
-            types,
+            fields,
         }
     }
 }

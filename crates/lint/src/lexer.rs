@@ -97,21 +97,6 @@ pub struct HotAnnotation {
     pub line: u32,
 }
 
-/// A `// gn:canon-exempt(Struct.field: reason)` annotation (GN14): the
-/// named request-spec field is deliberately absent from the canonical
-/// cache key, with a mandatory justification.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CanonExempt {
-    /// Spec struct the exemption applies to, e.g. `LargenSpec`.
-    pub strukt: String,
-    /// Field name deliberately left out of the key.
-    pub field: String,
-    /// The mandatory free-text justification.
-    pub reason: String,
-    /// Line the annotation comment appears on.
-    pub line: u32,
-}
-
 /// The lexed view of one source file.
 #[derive(Debug, Default)]
 pub struct LexedFile {
@@ -120,8 +105,6 @@ pub struct LexedFile {
     pub malformed: Vec<MalformedSuppression>,
     /// `// gn:hot` hot-path markings, in source order.
     pub hot_annotations: Vec<HotAnnotation>,
-    /// `// gn:canon-exempt(...)` cache-key exemptions (GN14).
-    pub canon_exempts: Vec<CanonExempt>,
     /// 1-based lines covered by a `#[cfg(test)]` item body.
     test_lines: Vec<(u32, u32)>,
 }
@@ -277,13 +260,11 @@ pub fn lex(src: &str) -> LexedFile {
     let test_lines = find_cfg_test_regions(&tokens, line);
     let (suppressions, mut malformed) = resolve_annotations(&comments, &tokens);
     let hot_annotations = resolve_hot_annotations(&comments, &mut malformed);
-    let canon_exempts = resolve_canon_exempts(&comments, &mut malformed);
     LexedFile {
         tokens,
         suppressions,
         malformed,
         hot_annotations,
-        canon_exempts,
         test_lines,
     }
 }
@@ -597,62 +578,6 @@ fn resolve_hot_annotations(
     out
 }
 
-/// Parses `// gn:canon-exempt(Struct.field: reason)` cache-key
-/// exemptions (GN14) out of the comment stream. Anything that starts
-/// with `gn:canon-exempt` but does not match the grammar is reported as
-/// malformed — a typo must not silently exempt a field.
-fn resolve_canon_exempts(
-    comments: &[RawComment],
-    malformed: &mut Vec<MalformedSuppression>,
-) -> Vec<CanonExempt> {
-    let mut out = Vec::new();
-    for c in comments {
-        let Some(rest) = c.body.trim_start().strip_prefix("gn:canon-exempt") else {
-            continue;
-        };
-        let bad = |detail: &str| MalformedSuppression {
-            line: c.line,
-            detail: format!(
-                "gn:canon-exempt: {detail} (expected `gn:canon-exempt(Struct.field: reason)`)"
-            ),
-        };
-        let Some(inner) = rest
-            .trim()
-            .strip_prefix('(')
-            .and_then(|t| t.rfind(')').map(|e| &t[..e]))
-        else {
-            malformed.push(bad("missing parenthesized clause"));
-            continue;
-        };
-        let Some((path, reason)) = inner.split_once(':') else {
-            malformed.push(bad("missing `: reason` clause"));
-            continue;
-        };
-        let Some((strukt, field)) = path.trim().split_once('.') else {
-            malformed.push(bad("target must be `Struct.field`"));
-            continue;
-        };
-        let (strukt, field, reason) = (strukt.trim(), field.trim(), reason.trim());
-        let is_ident =
-            |s: &str| !s.is_empty() && s.chars().all(|c| c.is_alphanumeric() || c == '_');
-        if !is_ident(strukt) || !is_ident(field) {
-            malformed.push(bad("target must be `Struct.field`"));
-            continue;
-        }
-        if reason.is_empty() {
-            malformed.push(bad("reason must be non-empty"));
-            continue;
-        }
-        out.push(CanonExempt {
-            strukt: strukt.to_string(),
-            field: field.to_string(),
-            reason: reason.to_string(),
-            line: c.line,
-        });
-    }
-    out
-}
-
 /// First line strictly after `line` that carries a token.
 fn next_code_line(tokens: &[Token], line: u32) -> Option<u32> {
     tokens.iter().map(|t| t.line).find(|&l| l > line)
@@ -815,44 +740,6 @@ let c = 'H';
     fn prose_mentioning_gn_hot_mid_comment_is_not_an_annotation() {
         let lexed = lex("// the gn:hot marking is documented in LINTS.md\nfn f() {}\n");
         assert!(lexed.hot_annotations.is_empty());
-        assert!(lexed.malformed.is_empty());
-    }
-
-    #[test]
-    fn canon_exempt_annotation_parses_struct_field_and_reason() {
-        let src = "// gn:canon-exempt(LargenSpec.threads: pool width cannot change results)\n";
-        let lexed = lex(src);
-        assert_eq!(
-            lexed.canon_exempts,
-            vec![CanonExempt {
-                strukt: "LargenSpec".into(),
-                field: "threads".into(),
-                reason: "pool width cannot change results".into(),
-                line: 1,
-            }]
-        );
-        assert!(lexed.malformed.is_empty());
-    }
-
-    #[test]
-    fn malformed_canon_exempt_is_reported_not_ignored() {
-        for src in [
-            "// gn:canon-exempt threads\n",
-            "// gn:canon-exempt(threads: no dot)\n",
-            "// gn:canon-exempt(Spec.threads)\n",
-            "// gn:canon-exempt(Spec.threads:   )\n",
-        ] {
-            let lexed = lex(src);
-            assert!(lexed.canon_exempts.is_empty(), "{src}");
-            assert_eq!(lexed.malformed.len(), 1, "{src}");
-            assert!(lexed.malformed[0].detail.contains("gn:canon-exempt"));
-        }
-    }
-
-    #[test]
-    fn prose_mentioning_canon_exempt_mid_comment_is_not_an_annotation() {
-        let lexed = lex("// see the gn:canon-exempt grammar in LINTS.md\n");
-        assert!(lexed.canon_exempts.is_empty());
         assert!(lexed.malformed.is_empty());
     }
 

@@ -262,10 +262,10 @@ mod tests {
             findings: vec![
                 finding("GN08", "crates/des/src/x.rs", 42, None),
                 finding(
-                    "GN14",
-                    "crates/serve/src/request.rs",
+                    "GN13",
+                    "crates/des/src/calendar.rs",
                     75,
-                    Some("pool width is bitwise-invariant"),
+                    Some("audited unit escape"),
                 ),
             ],
         };
@@ -280,7 +280,7 @@ mod tests {
         }
         assert!(s.contains("\"ruleId\": \"GN08\""));
         assert!(s.contains("\"startLine\": 42"));
-        assert!(s.contains("\"justification\": \"pool width is bitwise-invariant\""));
+        assert!(s.contains("\"justification\": \"audited unit escape\""));
         // Exactly one result carries a suppression block.
         assert_eq!(s.matches("\"suppressions\"").count(), 1);
     }

@@ -14,7 +14,6 @@
 //! | GN11 | RNG splits consumed on all paths ([`crate::expr`]) |
 //! | GN12 | merged-collection float reductions via `reduce` ([`crate::expr`]) |
 //! | GN13 | no raw-f64 arithmetic on unwrapped typed units ([`crate::typerules`]) |
-//! | GN14 | every request field in the canonical cache key ([`crate::typerules`]) |
 //! | GN15 | telemetry probes write-only from deterministic code ([`crate::typerules`]) |
 //!
 //! Rules apply to *library* code: integration tests, binaries, and
@@ -136,15 +135,6 @@ pub const RULES: &[RuleMeta] = &[
         anchor: "gn13--no-raw-f64-arithmetic-on-values-unwrapped-from-typed-units",
     },
     RuleMeta {
-        id: "GN14",
-        summary: "every request field participates in the canonical cache key",
-        full: "Every named field of a serve request spec struct must appear in \
-               canonical_json() or carry a gn:canon-exempt(Struct.field: reason) \
-               annotation; a forgotten field silently poisons the result cache \
-               because requests that differ in it collide on one key.",
-        anchor: "gn14--every-request-field-participates-in-the-canonical-cache-key",
-    },
-    RuleMeta {
         id: "GN15",
         summary: "telemetry probes are write-only from deterministic code",
         full: "Deterministic library code may write telemetry probes but must \
@@ -160,9 +150,9 @@ pub const RULES: &[RuleMeta] = &[
 pub const DIAGNOSTICS: &[RuleMeta] = &[RuleMeta {
     id: "GN00",
     summary: "malformed greednet-lint annotation (diagnostic, not suppressible)",
-    full: "An annotation that starts like greednet-lint:/gn:hot/gn:canon-exempt \
-           but does not match the grammar is reported instead of ignored, so a \
-           typo cannot silently disable a rule.",
+    full: "An annotation that starts like greednet-lint: or gn:hot but does \
+           not match the grammar is reported instead of ignored, so a typo \
+           cannot silently disable a rule.",
     anchor: "gn00--malformed-annotation-diagnostic",
 }];
 

@@ -1,11 +1,10 @@
-//! Type-aware rules built on [`crate::types`]: GN13 (unit-escape),
-//! GN14 (cache-key completeness), GN15 (probe isolation).
+//! Type-aware rules built on [`crate::types`]: GN13 (unit-escape) and
+//! GN15 (probe isolation).
 //!
-//! All three are *workspace passes* like GN10–GN12: they run over
-//! the full [`SourceFile`] set because their context crosses files —
-//! GN13 needs every unit-typed field name in the workspace, GN14 needs
-//! the spec structs (`ops.rs`) while auditing `canonical_json()`
-//! (`request.rs`), and GN15 needs the telemetry-typed field inventory.
+//! Both are *workspace passes* like GN10–GN12: they run over the full
+//! [`SourceFile`] set because their context crosses files — GN13 needs
+//! every unit-typed field name in the workspace, and GN15 needs the
+//! telemetry-typed field inventory.
 //!
 //! GN13 carries a file-level allow table ([`UNIT_ESCAPE_ALLOW`]) for the
 //! handful of des hot paths that deliberately compute on unwrapped
@@ -119,13 +118,9 @@ fn arith_after(tokens: &[Token], end: usize) -> bool {
 /// mentions one of `type_names`, mapped to the matched type.
 fn typed_fields(files: &[SourceFile], type_names: &[&str]) -> BTreeMap<String, String> {
     let mut out = BTreeMap::new();
-    for sf in files {
-        for s in &sf.types.structs {
-            for f in &s.fields {
-                if let Some(t) = f.ty.iter().find(|t| type_names.contains(&t.as_str())) {
-                    out.insert(f.name.clone(), t.clone());
-                }
-            }
+    for f in files.iter().flat_map(|sf| &sf.fields) {
+        if let Some(t) = f.ty.iter().find(|t| type_names.contains(&t.as_str())) {
+            out.insert(f.name.clone(), t.clone());
         }
     }
     out
@@ -402,277 +397,6 @@ fn unwrap_site(
     Some((start, end, unit.clone(), how, recv.to_string()))
 }
 
-/// GN14 — every named field of a request spec struct participates in
-/// the canonical cache key.
-///
-/// For each non-test `canonical_json()` in library code, every arm of
-/// its `match` that serializes a spec struct (resolved through the
-/// enum-variant payload types in the same crate) must mention each named
-/// field of that struct, unless the field carries a
-/// `// gn:canon-exempt(Struct.field: reason)` annotation in the same
-/// crate. Arms whose body is the single identifier `None` are exempt
-/// (non-cacheable kinds). Stale exemptions are findings.
-pub fn gn14(files: &[SourceFile]) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    // (file idx, exempt idx) -> used.
-    let mut exempt_used: BTreeMap<(usize, usize), bool> = BTreeMap::new();
-    for (fi, sf) in files.iter().enumerate() {
-        for (ei, _) in sf.lexed.canon_exempts.iter().enumerate() {
-            exempt_used.insert((fi, ei), false);
-        }
-    }
-    for sf in files {
-        if sf.ctx.kind != FileKind::Lib {
-            continue;
-        }
-        for item in &sf.parsed.fns {
-            if item.in_test || item.name != "canonical_json" {
-                continue;
-            }
-            check_canonical_json(files, sf, item, &mut exempt_used, &mut findings);
-        }
-    }
-    for (&(fi, ei), &used) in &exempt_used {
-        if used {
-            continue;
-        }
-        let sf = &files[fi];
-        let ex = &sf.lexed.canon_exempts[ei];
-        findings.push(Finding {
-            rule: "GN14",
-            file: sf.ctx.rel_path.clone(),
-            line: ex.line,
-            message: format!(
-                "stale gn:canon-exempt({}.{}): the field is keyed, renamed, or \
-                 unknown; remove the annotation",
-                ex.strukt, ex.field
-            ),
-            suppressed: None,
-        });
-    }
-    findings
-}
-
-/// Audits one `canonical_json` fn against the spec structs it matches.
-fn check_canonical_json(
-    files: &[SourceFile],
-    sf: &SourceFile,
-    item: &FnItem,
-    exempt_used: &mut BTreeMap<(usize, usize), bool>,
-    findings: &mut Vec<Finding>,
-) {
-    let tokens = &sf.lexed.tokens;
-    let crate_name = sf.ctx.crate_name.as_str();
-    let mut i = item.body.0;
-    while i < item.body.1 {
-        if tokens[i].ident() != Some("match") {
-            i += 1;
-            continue;
-        }
-        // Scrutinee runs to the `{` at delimiter depth 0.
-        let mut open = i + 1;
-        let mut depth = 0i64;
-        while open < item.body.1 {
-            let t = &tokens[open];
-            if t.is_punct('(') || t.is_punct('[') {
-                depth += 1;
-            } else if t.is_punct(')') || t.is_punct(']') {
-                depth -= 1;
-            } else if depth == 0 && t.is_punct('{') {
-                break;
-            }
-            open += 1;
-        }
-        if open >= item.body.1 {
-            break;
-        }
-        let close = match_delim(tokens, open, '{', '}');
-        for (pat, body) in match_arms(tokens, open, close) {
-            check_arm(files, sf, crate_name, pat, body, exempt_used, findings);
-        }
-        i = close + 1;
-    }
-}
-
-/// Splits a match body `tokens(open..close)` into `(pattern, body)`
-/// spans at depth-0 `=>` / `,` boundaries. A braced arm body runs to its
-/// matching `}`.
-fn match_arms(
-    tokens: &[Token],
-    open: usize,
-    close: usize,
-) -> Vec<((usize, usize), (usize, usize))> {
-    let mut arms = Vec::new();
-    let mut i = open + 1;
-    while i < close {
-        let pat_start = i;
-        // Pattern runs to `=>` at depth 0.
-        let mut depth = 0i64;
-        let mut arrow = None;
-        while i < close {
-            let t = &tokens[i];
-            if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-                depth += 1;
-            } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-                depth -= 1;
-            } else if depth == 0
-                && t.is_punct('=')
-                && tokens.get(i + 1).is_some_and(|n| n.is_punct('>'))
-            {
-                arrow = Some(i);
-                break;
-            }
-            i += 1;
-        }
-        let Some(arrow) = arrow else { break };
-        let body_start = arrow + 2;
-        let body_end;
-        if tokens.get(body_start).is_some_and(|t| t.is_punct('{')) {
-            let b = match_delim(tokens, body_start, '{', '}');
-            body_end = (b + 1).min(close);
-            i = body_end;
-        } else {
-            let mut j = body_start;
-            let mut d = 0i64;
-            while j < close {
-                let t = &tokens[j];
-                if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-                    d += 1;
-                } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-                    d -= 1;
-                } else if d == 0 && t.is_punct(',') {
-                    break;
-                }
-                j += 1;
-            }
-            body_end = j;
-            i = j;
-        }
-        arms.push(((pat_start, arrow), (body_start, body_end)));
-        // Skip the separating comma.
-        if tokens.get(i).is_some_and(|t| t.is_punct(',')) {
-            i += 1;
-        }
-    }
-    arms
-}
-
-/// Audits one match arm: resolve `Enum::Variant` patterns to payload
-/// spec structs and require every named field in the body.
-fn check_arm(
-    files: &[SourceFile],
-    sf: &SourceFile,
-    crate_name: &str,
-    pat: (usize, usize),
-    body: (usize, usize),
-    exempt_used: &mut BTreeMap<(usize, usize), bool>,
-    findings: &mut Vec<Finding>,
-) {
-    let tokens = &sf.lexed.tokens;
-    // An arm returning the bare identifier `None` marks a non-cacheable
-    // kind: nothing to audit.
-    let body_idents: BTreeSet<&str> = tokens[body.0..body.1]
-        .iter()
-        .filter_map(Token::ident)
-        .collect();
-    if body.1 - body.0 == 1 && body_idents.contains("None") {
-        return;
-    }
-    // Resolve `Enum::Variant` pairs in the pattern.
-    let mut specs: Vec<&crate::types::StructItem> = Vec::new();
-    for k in pat.0..pat.1 {
-        if !(tokens[k].is_punct(':') && k > 0 && tokens[k - 1].is_punct(':')) {
-            continue;
-        }
-        let (Some(enum_name), Some(variant)) = (
-            k.checked_sub(2).and_then(|p| tokens[p].ident()),
-            tokens.get(k + 1).and_then(Token::ident),
-        ) else {
-            continue;
-        };
-        for other in files.iter().filter(|o| o.ctx.crate_name == crate_name) {
-            let Some(e) = other.types.enumeration(enum_name) else {
-                continue;
-            };
-            let Some(v) = e.variants.iter().find(|v| v.name == variant) else {
-                continue;
-            };
-            for ty in &v.payload {
-                for holder in files.iter().filter(|o| o.ctx.crate_name == crate_name) {
-                    if let Some(s) = holder.types.strukt(ty) {
-                        if !s.fields.is_empty() {
-                            specs.push(s);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    for s in specs {
-        // The struct's declaring file carries the findings (field decl
-        // lines) and its allow annotations.
-        let holder = files
-            .iter()
-            .find(|o| {
-                o.ctx.crate_name == crate_name
-                    && o.types.strukt(&s.name).is_some_and(|x| x.line == s.line)
-            })
-            .unwrap_or(sf);
-        for f in &s.fields {
-            if body_idents.contains(f.name.as_str()) {
-                continue;
-            }
-            if let Some(reason) = consume_exempt(files, crate_name, &s.name, &f.name, exempt_used) {
-                findings.push(Finding {
-                    rule: "GN14",
-                    file: holder.ctx.rel_path.clone(),
-                    line: f.line,
-                    message: format!(
-                        "field `{}.{}` is exempt from the canonical cache key",
-                        s.name, f.name
-                    ),
-                    suppressed: Some(reason),
-                });
-                continue;
-            }
-            findings.push(Finding {
-                rule: "GN14",
-                file: holder.ctx.rel_path.clone(),
-                line: f.line,
-                message: format!(
-                    "field `{}.{}` is absent from canonical_json(): a request that \
-                     varies it would collide in the result cache; key it or annotate \
-                     `// gn:canon-exempt({}.{}: reason)`",
-                    s.name, f.name, s.name, f.name
-                ),
-                suppressed: suppression_for(&holder.lexed, "GN14", f.line),
-            });
-        }
-    }
-}
-
-/// Finds and consumes a matching `gn:canon-exempt` in the crate.
-fn consume_exempt(
-    files: &[SourceFile],
-    crate_name: &str,
-    strukt: &str,
-    field: &str,
-    exempt_used: &mut BTreeMap<(usize, usize), bool>,
-) -> Option<String> {
-    for (fi, sf) in files.iter().enumerate() {
-        if sf.ctx.crate_name != crate_name {
-            continue;
-        }
-        for (ei, ex) in sf.lexed.canon_exempts.iter().enumerate() {
-            if ex.strukt == strukt && ex.field == field {
-                exempt_used.insert((fi, ei), true);
-                return Some(ex.reason.clone());
-            }
-        }
-    }
-    None
-}
-
 /// GN15 — telemetry probes are write-only from deterministic code.
 ///
 /// In [`DETERMINISTIC_CRATES`] library code, a value read back from a
@@ -886,58 +610,6 @@ mod tests {
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].line, 0);
         assert!(f[0].message.contains("stale"));
-    }
-
-    #[test]
-    fn gn14_missing_field_fires_at_its_declaration() {
-        let src = "pub struct Spec {\n\
-                   \x20   pub rates: Vec<f64>,\n\
-                   \x20   pub seed: u64,\n\
-                   }\n\
-                   pub enum Kind { Sim(Spec) }\n\
-                   pub fn canonical_json(k: &Kind) -> Option<String> {\n\
-                   \x20   match k {\n\
-                   \x20       Kind::Sim(s) => Some(format!(\"{:?}\", s.rates)),\n\
-                   \x20   }\n\
-                   }\n";
-        let files = vec![sf("serve", "crates/serve/src/x.rs", src)];
-        let f = gn14(&files);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].line, 3);
-        assert!(f[0].message.contains("Spec.seed"), "{}", f[0].message);
-    }
-
-    #[test]
-    fn gn14_exempt_field_is_suppressed_and_stale_exempt_fires() {
-        let src = "pub struct Spec { pub rates: Vec<f64>, pub threads: usize }\n\
-                   pub enum Kind { Sim(Spec) }\n\
-                   // gn:canon-exempt(Spec.threads: pool width cannot change results)\n\
-                   // gn:canon-exempt(Spec.gone: field was removed)\n\
-                   pub fn canonical_json(k: &Kind) -> Option<String> {\n\
-                   \x20   match k { Kind::Sim(s) => Some(format!(\"{:?}\", s.rates)) }\n\
-                   }\n";
-        let files = vec![sf("serve", "crates/serve/src/x.rs", src)];
-        let f = gn14(&files);
-        let exempt: Vec<_> = f.iter().filter(|x| x.suppressed.is_some()).collect();
-        let live: Vec<_> = f.iter().filter(|x| x.suppressed.is_none()).collect();
-        assert_eq!(exempt.len(), 1, "{f:?}");
-        assert_eq!(live.len(), 1, "{f:?}");
-        assert!(live[0].message.contains("stale"), "{}", live[0].message);
-        assert_eq!(live[0].line, 4);
-    }
-
-    #[test]
-    fn gn14_none_arms_are_not_audited() {
-        let src = "pub struct Spec { pub rates: Vec<f64> }\n\
-                   pub enum Kind { Sim(Spec), Stats }\n\
-                   pub fn canonical_json(k: &Kind) -> Option<String> {\n\
-                   \x20   match k {\n\
-                   \x20       Kind::Sim(s) => Some(format!(\"{:?}\", s.rates)),\n\
-                   \x20       Kind::Stats => None,\n\
-                   \x20   }\n\
-                   }\n";
-        let files = vec![sf("serve", "crates/serve/src/x.rs", src)];
-        assert!(gn14(&files).is_empty());
     }
 
     #[test]

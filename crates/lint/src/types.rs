@@ -1,26 +1,22 @@
-//! The type/struct layer: `struct` and `enum` items recovered from the
-//! token stream, mirroring how [`crate::expr`] sits on [`crate::parse`].
+//! The type layer: the named `struct` fields a file declares, recovered
+//! from the token stream, mirroring how [`crate::expr`] sits on
+//! [`crate::parse`].
 //!
 //! The item parser recovers `fn` items; this layer recovers the *data
-//! shape* of a file — named fields with their declaration lines and type
-//! tokens, derive lists, and enum variants with their payload types. It
-//! powers the type-aware rules in [`crate::typerules`]:
+//! shape* of a file — each named field with the identifier tokens of its
+//! declared type. It drives the two type-aware rules in
+//! [`crate::typerules`]:
 //!
 //! * **GN13** needs to know which field names are declared with a typed
 //!   unit (`SimTime`/`Rate`/`Work`), so `.get()` on `pkt.arrival` is an
 //!   unwrap while `.get()` on a `Vec` is not;
-//! * **GN14** needs every named field of a request spec struct (with its
-//!   declaration line, the finding's anchor) plus the enum variant →
-//!   payload-struct association of `RequestKind`;
 //! * **GN15** needs which field names are declared with a telemetry
 //!   probe type (`Counter`, `Log2Histogram`, ...).
 //!
 //! Like everything in this analyzer the grammar subset is deliberate:
-//! named-field structs are parsed in full; tuple and unit structs are
-//! recorded with an empty field list (their derive lists still matter);
-//! generics, where-clauses, and attributes are skipped structurally.
-//! Impl-block association stays in [`crate::parse`] (`FnItem::impl_type`)
-//! — this layer only carries the data side.
+//! named-field structs are parsed in full; tuple and unit structs
+//! contribute no fields; generics, where-clauses, and attributes are
+//! skipped structurally.
 
 use crate::lexer::{LexedFile, Token};
 
@@ -28,100 +24,34 @@ use crate::lexer::{LexedFile, Token};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FieldItem {
     pub name: String,
-    /// 1-based line the field name appears on (finding anchor for GN14).
-    pub line: u32,
     /// Identifier tokens of the declared type, in order (`Vec`, `SimTime`
     /// for `Vec<SimTime>`); path separators and punctuation dropped.
     pub ty: Vec<String>,
 }
 
-/// One `struct` item.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StructItem {
-    pub name: String,
-    /// 1-based line of the `struct` keyword.
-    pub line: u32,
-    /// Trait names from `#[derive(...)]` attributes on the item.
-    pub derives: Vec<String>,
-    /// Named fields; empty for tuple and unit structs.
-    pub fields: Vec<FieldItem>,
-}
-
-/// One variant of an `enum` item.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VariantItem {
-    pub name: String,
-    pub line: u32,
-    /// Identifier tokens of the payload type(s) (`LargenSpec` for
-    /// `Largen(LargenSpec)`); empty for unit variants.
-    pub payload: Vec<String>,
-}
-
-/// One `enum` item.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EnumItem {
-    pub name: String,
-    pub line: u32,
-    pub derives: Vec<String>,
-    pub variants: Vec<VariantItem>,
-}
-
-/// The type-item view of one file.
-#[derive(Debug, Default)]
-pub struct TypeItems {
-    pub structs: Vec<StructItem>,
-    pub enums: Vec<EnumItem>,
-}
-
-impl TypeItems {
-    /// The struct named `name`, if the file declares one.
-    pub fn strukt(&self, name: &str) -> Option<&StructItem> {
-        self.structs.iter().find(|s| s.name == name)
-    }
-
-    /// The enum named `name`, if the file declares one.
-    pub fn enumeration(&self, name: &str) -> Option<&EnumItem> {
-        self.enums.iter().find(|e| e.name == name)
-    }
-}
-
-/// Parses the `struct`/`enum` items out of a lexed file.
-pub fn parse_types(lexed: &LexedFile) -> TypeItems {
+/// The named fields of every `struct` item in a lexed file, in source
+/// order. Structs nested in fn bodies count like top-level ones.
+pub fn struct_fields(lexed: &LexedFile) -> Vec<FieldItem> {
     let tokens = &lexed.tokens;
-    let mut out = TypeItems::default();
-    let mut i = 0usize;
-    while i < tokens.len() {
-        match tokens[i].ident() {
-            Some("struct") => {
-                if let Some(s) = parse_struct(tokens, i) {
-                    out.structs.push(s);
-                }
-            }
-            Some("enum") => {
-                if let Some(e) = parse_enum(tokens, i) {
-                    out.enums.push(e);
-                }
-            }
-            _ => {}
+    let mut out = Vec::new();
+    for (i, t) in tokens.iter().enumerate() {
+        let named = tokens.get(i + 1).and_then(Token::ident).is_some();
+        if t.ident() != Some("struct") || !named {
+            continue;
         }
-        i += 1;
+        if let Some(open) = braced_body(tokens, i + 2) {
+            let close = crate::expr::match_delim(tokens, open, '{', '}');
+            out.extend(parse_named_fields(tokens, open + 1, close));
+        }
     }
     out
 }
 
-/// Where the item body starts after the name + generics: `{` (named
-/// fields / variants), `(` (tuple struct), or `;` (unit struct).
-enum BodyOpen {
-    Braced(usize),
-    Tuple,
-    Unit,
-}
-
-/// Scans past an optional generic parameter list and an optional
-/// where-clause to the item body opener. Parens inside where-clause
-/// bounds (`Fn(..)` traits) are skipped as balanced groups; a `(`
-/// *before* any `where` directly after the generics is a tuple struct.
-fn find_body_open(tokens: &[Token], from: usize) -> Option<BodyOpen> {
+/// Index of the `{` opening a named-field body, scanning past an
+/// optional generic parameter list and where-clause; `None` for tuple
+/// (`(` before any `where`) and unit (`;`) structs. Parens inside
+/// where-clause bounds (`Fn(..)` traits) are skipped as balanced groups.
+fn braced_body(tokens: &[Token], from: usize) -> Option<usize> {
     let mut j = from;
     if tokens.get(j).is_some_and(|t| t.is_punct('<')) {
         j = skip_angles(tokens, j)? + 1;
@@ -132,7 +62,7 @@ fn find_body_open(tokens: &[Token], from: usize) -> Option<BodyOpen> {
         let t = &tokens[j];
         if t.is_punct('(') {
             if depth == 0 && !seen_where {
-                return Some(BodyOpen::Tuple);
+                return None;
             }
             depth += 1;
         } else if t.is_punct(')') || t.is_punct(']') {
@@ -140,9 +70,9 @@ fn find_body_open(tokens: &[Token], from: usize) -> Option<BodyOpen> {
         } else if t.is_punct('[') {
             depth += 1;
         } else if depth == 0 && t.is_punct('{') {
-            return Some(BodyOpen::Braced(j));
+            return Some(j);
         } else if depth == 0 && t.is_punct(';') {
-            return Some(BodyOpen::Unit);
+            return None;
         } else if t.ident() == Some("where") {
             seen_where = true;
         }
@@ -200,97 +130,6 @@ fn skip_attribute(tokens: &[Token], at: usize) -> Option<usize> {
     None
 }
 
-/// Collects derive-trait names from the contiguous attribute group
-/// preceding the item keyword at `at` (walking back over the visibility
-/// prelude first).
-fn collect_derives(tokens: &[Token], at: usize) -> Vec<String> {
-    // Walk back over `pub`, `pub(crate)`, `pub(in path)`.
-    let mut k = at;
-    while k > 0 {
-        let t = &tokens[k - 1];
-        if matches!(t.ident(), Some("pub" | "crate" | "super" | "in")) {
-            k -= 1;
-        } else if t.is_punct(')') {
-            // Rewind the pub(...) restriction group.
-            let mut depth = 0i64;
-            let mut p = k - 1;
-            loop {
-                if tokens[p].is_punct(')') {
-                    depth += 1;
-                } else if tokens[p].is_punct('(') {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                let Some(np) = p.checked_sub(1) else { break };
-                p = np;
-            }
-            k = p;
-        } else {
-            break;
-        }
-    }
-    // Walk back over the contiguous `#[...]` attribute group, collecting
-    // spans, then read them in source order.
-    let mut attr_spans: Vec<(usize, usize)> = Vec::new();
-    while k > 0 {
-        let t = &tokens[k - 1];
-        if !t.is_punct(']') {
-            break;
-        }
-        let mut depth = 0i64;
-        let mut p = k - 1;
-        loop {
-            if tokens[p].is_punct(']') {
-                depth += 1;
-            } else if tokens[p].is_punct('[') {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            let Some(np) = p.checked_sub(1) else { break };
-            p = np;
-        }
-        let Some(hash) = p.checked_sub(1) else { break };
-        if !tokens[hash].is_punct('#') {
-            break;
-        }
-        attr_spans.push((p + 1, k - 1));
-        k = hash;
-    }
-    attr_spans.reverse();
-    let mut derives = Vec::new();
-    for (lo, hi) in attr_spans {
-        let idents: Vec<&str> = tokens[lo..hi].iter().filter_map(Token::ident).collect();
-        if idents.first() == Some(&"derive") {
-            derives.extend(idents[1..].iter().map(|s| (*s).to_string()));
-        }
-    }
-    derives
-}
-
-fn parse_struct(tokens: &[Token], at: usize) -> Option<StructItem> {
-    let name = tokens.get(at + 1)?.ident()?.to_string();
-    let line = tokens[at].line;
-    let derives = collect_derives(tokens, at);
-    let fields = match find_body_open(tokens, at + 2)? {
-        BodyOpen::Braced(open) => {
-            let close = crate::expr::match_delim(tokens, open, '{', '}');
-            parse_named_fields(tokens, open + 1, close)
-        }
-        // Tuple and unit structs have no named fields to audit.
-        BodyOpen::Tuple | BodyOpen::Unit => Vec::new(),
-    };
-    Some(StructItem {
-        name,
-        line,
-        derives,
-        fields,
-    })
-}
-
 /// Parses `name: Type, ...` declarations in `tokens[lo..hi]`, skipping
 /// field attributes and visibility.
 fn parse_named_fields(tokens: &[Token], lo: usize, hi: usize) -> Vec<FieldItem> {
@@ -340,7 +179,6 @@ fn parse_named_fields(tokens: &[Token], lo: usize, hi: usize) -> Vec<FieldItem> 
         }
         out.push(FieldItem {
             name: name.to_string(),
-            line: tokens[i].line,
             ty,
         });
         i = j + 1;
@@ -348,163 +186,56 @@ fn parse_named_fields(tokens: &[Token], lo: usize, hi: usize) -> Vec<FieldItem> 
     out
 }
 
-fn parse_enum(tokens: &[Token], at: usize) -> Option<EnumItem> {
-    let name = tokens.get(at + 1)?.ident()?.to_string();
-    let line = tokens[at].line;
-    let derives = collect_derives(tokens, at);
-    let BodyOpen::Braced(open) = find_body_open(tokens, at + 2)? else {
-        return None; // `enum` bodies are always braced
-    };
-    let close = crate::expr::match_delim(tokens, open, '{', '}');
-    let mut variants = Vec::new();
-    let mut i = open + 1;
-    while i < close {
-        if let Some(next) = skip_attribute(tokens, i) {
-            i = next;
-            continue;
-        }
-        let Some(vname) = tokens[i].ident() else {
-            i += 1;
-            continue;
-        };
-        let vline = tokens[i].line;
-        let mut payload = Vec::new();
-        let mut j = i + 1;
-        match tokens.get(j) {
-            Some(t) if t.is_punct('(') => {
-                let pclose = crate::expr::match_delim(tokens, j, '(', ')');
-                payload.extend(
-                    tokens[j + 1..pclose.min(close)]
-                        .iter()
-                        .filter_map(Token::ident)
-                        .map(String::from),
-                );
-                j = pclose + 1;
-            }
-            Some(t) if t.is_punct('{') => {
-                let pclose = crate::expr::match_delim(tokens, j, '{', '}');
-                payload.extend(
-                    tokens[j + 1..pclose.min(close)]
-                        .iter()
-                        .filter_map(Token::ident)
-                        .map(String::from),
-                );
-                j = pclose + 1;
-            }
-            _ => {}
-        }
-        variants.push(VariantItem {
-            name: vname.to_string(),
-            line: vline,
-            payload,
-        });
-        // Skip a discriminant (`= 3`) and advance past the separating `,`.
-        let mut depth = 0i64;
-        while j < close {
-            let t = &tokens[j];
-            if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-                depth += 1;
-            } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-                depth -= 1;
-            } else if depth == 0 && t.is_punct(',') {
-                j += 1;
-                break;
-            }
-            j += 1;
-        }
-        i = j;
-    }
-    Some(EnumItem {
-        name,
-        line,
-        derives,
-        variants,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lexer::lex;
 
-    fn types(src: &str) -> TypeItems {
-        parse_types(&lex(src))
+    /// `(name, type tokens)` of every field in `src`.
+    fn fields(src: &str) -> Vec<(String, Vec<String>)> {
+        struct_fields(&lex(src))
+            .into_iter()
+            .map(|f| (f.name, f.ty))
+            .collect()
+    }
+
+    fn names(src: &str) -> Vec<String> {
+        fields(src).into_iter().map(|(n, _)| n).collect()
     }
 
     #[test]
-    fn named_struct_fields_carry_lines_and_type_tokens() {
+    fn named_struct_fields_carry_type_tokens() {
         let src = "#[derive(Debug, Clone)]\npub struct Packet {\n    pub arrival: SimTime,\n    size: Work,\n    tags: Vec<(u32, Rate)>,\n}\n";
-        let t = types(src);
-        let p = t.strukt("Packet").expect("Packet parsed");
-        assert_eq!(p.line, 2);
-        assert_eq!(p.derives, vec!["Debug", "Clone"]);
-        let shape: Vec<(&str, u32)> = p.fields.iter().map(|f| (f.name.as_str(), f.line)).collect();
-        assert_eq!(shape, vec![("arrival", 3), ("size", 4), ("tags", 5)]);
-        assert_eq!(p.fields[0].ty, vec!["SimTime"]);
-        assert_eq!(p.fields[2].ty, vec!["Vec", "u32", "Rate"]);
+        let f = fields(src);
+        let shape: Vec<&str> = f.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(shape, vec!["arrival", "size", "tags"]);
+        assert_eq!(f[0].1, vec!["SimTime"]);
+        assert_eq!(f[2].1, vec!["Vec", "u32", "Rate"]);
     }
 
     #[test]
-    fn tuple_and_unit_structs_record_empty_fields() {
-        let t = types("pub struct Marker;\nstruct Pair(f64, f64);\n");
-        assert!(t.strukt("Marker").expect("unit").fields.is_empty());
-        assert!(t.strukt("Pair").expect("tuple").fields.is_empty());
+    fn tuple_and_unit_structs_contribute_no_fields() {
+        assert!(fields("pub struct Marker;\nstruct Pair(f64, f64);\n").is_empty());
     }
 
     #[test]
     fn generics_and_where_clauses_do_not_confuse_the_body_scan() {
         let src = "struct Keyed<K: Ord, V> where K: Clone {\n    key: K,\n    cb: Box<dyn Fn(usize) -> f64>,\n    v: V,\n}\n";
-        let t = types(src);
-        let s = t.strukt("Keyed").expect("parsed");
-        let names: Vec<&str> = s.fields.iter().map(|f| f.name.as_str()).collect();
-        assert_eq!(names, vec!["key", "cb", "v"]);
-        assert_eq!(s.fields[1].ty, vec!["Box", "dyn", "Fn", "usize", "f64"]);
+        let f = fields(src);
+        assert_eq!(names(src), vec!["key", "cb", "v"]);
+        assert_eq!(f[1].1, vec!["Box", "dyn", "Fn", "usize", "f64"]);
     }
 
     #[test]
     fn field_attributes_and_visibility_restrictions_are_skipped() {
         let src = "struct S {\n    #[allow(dead_code)]\n    pub(crate) a: u64,\n    b: f64,\n}\n";
-        let t = types(src);
-        let s = t.strukt("S").expect("parsed");
-        let names: Vec<&str> = s.fields.iter().map(|f| f.name.as_str()).collect();
-        assert_eq!(names, vec!["a", "b"]);
-        assert_eq!(s.fields[0].line, 3);
-    }
-
-    #[test]
-    fn enum_variants_carry_payload_types() {
-        let src = "#[derive(Debug)]\npub enum RequestKind {\n    Nash(NashSpec, UtilityParam),\n    Batch(Vec<Request>),\n    Named { id: u64 },\n    Stats,\n}\n";
-        let t = types(src);
-        let e = t.enumeration("RequestKind").expect("parsed");
-        assert_eq!(e.derives, vec!["Debug"]);
-        let shape: Vec<(&str, Vec<String>)> = e
-            .variants
-            .iter()
-            .map(|v| (v.name.as_str(), v.payload.clone()))
-            .collect();
-        assert_eq!(shape[0].0, "Nash");
-        assert_eq!(shape[0].1, vec!["NashSpec", "UtilityParam"]);
-        assert_eq!(shape[1].1, vec!["Vec", "Request"]);
-        assert_eq!(shape[2].1, vec!["id", "u64"]);
-        assert!(shape[3].1.is_empty());
-    }
-
-    #[test]
-    fn stacked_derive_attributes_all_contribute() {
-        let src = "#[derive(Debug)]\n#[derive(Clone, Copy)]\n#[repr(C)]\nstruct S { a: u8 }\n";
-        let t = types(src);
-        assert_eq!(
-            t.strukt("S").expect("parsed").derives,
-            vec!["Debug", "Clone", "Copy"]
-        );
+        assert_eq!(names(src), vec!["a", "b"]);
     }
 
     #[test]
     fn struct_keyword_inside_a_body_is_tolerated() {
         // Nested type declarations are hoisted flat, like nested fns.
         let src = "fn f() {\n    struct Inner { x: f64 }\n}\nstruct Outer { y: f64 }\n";
-        let t = types(src);
-        assert!(t.strukt("Inner").is_some());
-        assert!(t.strukt("Outer").is_some());
+        assert_eq!(names(src), vec!["x", "y"]);
     }
 }

@@ -17,7 +17,7 @@ fn context_for(rule: &str) -> FileContext {
         "GN08" => ("telemetry", "crates/telemetry/src/fixture.rs"),
         "GN10" | "GN11" | "GN13" => ("des", "crates/des/src/fixture.rs"),
         "GN12" => ("bench", "crates/bench/src/fixture.rs"),
-        "GN14" | "GN15" => ("serve", "crates/serve/src/fixture.rs"),
+        "GN15" => ("serve", "crates/serve/src/fixture.rs"),
         other => panic!("no fixture context for {other}"),
     };
     FileContext {
@@ -54,7 +54,6 @@ fn run_rule(rule: &str, ctx: FileContext, src: &str) -> Vec<Finding> {
             .into_iter()
             .filter(|f| f.line != 0)
             .collect(),
-        "GN14" => typerules::gn14(&files),
         "GN15" => typerules::gn15(&files),
         _ => check_file(&files[0].ctx, &files[0].lexed),
     }
@@ -92,7 +91,6 @@ fn bad_fixtures_fire_their_rule() {
         ("GN11", 5),
         ("GN12", 4),
         ("GN13", 4),
-        ("GN14", 3),
         ("GN15", 4),
     ];
     for (rule, min_count) in expected_min {
@@ -109,7 +107,7 @@ fn bad_fixtures_fire_their_rule() {
 #[test]
 fn bad_fixture_spans_point_at_the_offending_lines() {
     // Exact file:line spans against the fixture sources.
-    let expected: [(&str, &[u32], &str); 7] = [
+    let expected: [(&str, &[u32], &str); 6] = [
         ("GN08", &[5, 6, 10], ".ok(); and let _ = spans"),
         ("GN10", &[9, 19, 25, 30], "GN10 anchors at the hot fns"),
         (
@@ -126,11 +124,6 @@ fn bad_fixture_spans_point_at_the_offending_lines() {
             "GN13",
             &[15, 19, 25, 29],
             "GN13 anchors at the raw-arithmetic sites (direct, .0, rebound, param)",
-        ),
-        (
-            "GN14",
-            &[6, 7, 15],
-            "GN14 anchors at the missing field decls plus the stale exemption",
         ),
         (
             "GN15",
@@ -310,37 +303,6 @@ fn mutation_of_compliant_code_fires_each_kept_rule() {
             "{rule}: mutating line {line} to `{mutant}` must fire there: {after:?}"
         );
     }
-}
-
-#[test]
-fn gn14_mutation_forgetting_a_keyed_field_fires() {
-    // The completeness check must be *live*: take the compliant fixture,
-    // delete the line that keys `seed`, and the analyzer must flag the
-    // now-forgotten field at its declaration line.
-    let src = fixture_source("allowed", "GN14");
-    let mutated: String = src
-        .lines()
-        .filter(|l| !l.contains("s.seed"))
-        .map(|l| format!("{l}\n"))
-        .collect();
-    let before = typerules::gn14(&[SourceFile::new(context_for("GN14"), &src)]);
-    assert!(
-        live(&before, "GN14").is_empty(),
-        "unmutated fixture must be clean: {before:?}"
-    );
-    let after = typerules::gn14(&[SourceFile::new(context_for("GN14"), &mutated)]);
-    let hits = live(&after, "GN14");
-    assert_eq!(
-        hits.len(),
-        1,
-        "dropping `s.seed` from canonical_json must fire: {after:?}"
-    );
-    assert_eq!(hits[0].line, 5, "anchored at the `seed` field declaration");
-    assert!(
-        hits[0].message.contains("SimSpec.seed"),
-        "names the forgotten field: {}",
-        hits[0].message
-    );
 }
 
 #[test]

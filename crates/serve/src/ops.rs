@@ -182,7 +182,7 @@ pub fn canonical_service_json(spec: &str) -> Json {
 // nash
 
 /// Specification of a Nash-equilibrium solve.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct NashSpec {
     /// Allocation discipline name (`fifo`/`fs`/`sp`, aliases accepted).
     pub discipline: String,
@@ -322,7 +322,7 @@ impl NashOutcome {
 // simulate
 
 /// Specification of a packet-level simulation run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimulateSpec {
     /// Poisson arrival rates.
     pub rates: Vec<f64>,
@@ -493,7 +493,7 @@ impl SimulateOutcome {
 // table
 
 /// Specification of a Table 1 priority decomposition.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TableSpec {
     /// Rates to decompose.
     pub rates: Vec<f64>,
@@ -577,7 +577,7 @@ impl TableOutcome {
 // protect
 
 /// Specification of a protection sweep.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProtectSpec {
     /// Total number of users.
     pub n: usize,
@@ -711,7 +711,7 @@ pub fn canonical_largen_name(name: &str) -> &str {
 }
 
 /// Specification of a large-N (mean-field) equilibrium solve.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LargenSpec {
     /// Discipline name (`fifo`/`fs`/`sfq`, aliases accepted).
     pub discipline: String,
@@ -942,22 +942,28 @@ impl LargenOutcome {
 // exp
 
 /// Specification of a registry-experiment run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExpSpec {
     /// Experiment id (`t1`, `e1`..).
     pub exp: String,
     /// Root seed.
     pub seed: u64,
-    /// Worker threads for the experiment's own replication pool. Part of
-    /// the request (and its cache key) so the payload is independent of
-    /// the *service's* pool width; experiment output is bitwise
-    /// invariant to this value except for the `threads=` header.
+    /// Worker threads for the experiment's own replication pool; `0`
+    /// runs on one, like `1`. Part of the request (and its cache key, as
+    /// the width that runs) so the payload is independent of the
+    /// *service's* pool width; experiment output is bitwise invariant to
+    /// this value except for the `threads=` header.
     pub threads: usize,
     /// Run with the smoke budget instead of paper fidelity.
     pub smoke: bool,
 }
 
 impl ExpSpec {
+    /// The replication pool width the run uses: `threads`, at least one.
+    pub(crate) fn workers(&self) -> usize {
+        self.threads.max(1)
+    }
+
     /// Runs the experiment and renders its report as a JSON payload.
     ///
     /// # Errors
@@ -969,7 +975,7 @@ impl ExpSpec {
         } else {
             Budget::full()
         };
-        let ctx = ExpCtx::new(self.seed, self.threads.max(1)).with_budget(budget);
+        let ctx = ExpCtx::new(self.seed, self.workers()).with_budget(budget);
         let report = greednet_bench::exp_cli::run_experiment(&self.exp, &ctx)
             .map_err(ServeError::BadRequest)?;
         // The report renderer emits a complete JSON object; splice it

@@ -23,6 +23,12 @@
 //! its default would poison the cache key contract), and every omitted
 //! field is filled with the same default the CLI uses.
 //!
+//! Each spec lists its wire fields once, in a field walk that parsing and
+//! the cache key both run. A field the wire can set is therefore keyed,
+//! unless its walk reads it as *unkeyed* with a stated reason (today only
+//! `largen`'s `threads`), and a spec field the walk never visits cannot
+//! be set from the wire at all.
+//!
 //! Every request may carry an optional `"v"` schema-version field
 //! (default 1). This build speaks exactly v=1 and rejects anything else,
 //! so clients can pin the version today and get a clean `bad_request`
@@ -45,6 +51,7 @@ use crate::ops::{
     canonical_alloc_name, canonical_kind_name, canonical_largen_name, canonical_service_json,
     ExpSpec, LargenSpec, NashSpec, ProtectSpec, SimulateSpec, TableSpec, UtilityParam,
 };
+use greednet_des::DEFAULT_WINDOWS;
 use greednet_numerics::conv::{f64_to_u64, f64_to_usize};
 
 /// Default utility profile, identical to `greednet nash`'s `--users`
@@ -122,85 +129,12 @@ impl Request {
             )));
         }
         let kind = match kind_name.as_str() {
-            "nash" => RequestKind::Nash(NashSpec {
-                discipline: fields.take_str("discipline")?.unwrap_or_else(|| "fs".into()),
-                users: match fields.take("users") {
-                    None => parse_users(DEFAULT_USERS)?,
-                    Some(Json::Str(s)) => parse_users(&s)?,
-                    Some(Json::Arr(items)) => parse_users_array(&items)?,
-                    Some(_) => {
-                        return Err(ServeError::Parse(
-                            "\"users\" must be a \"family:a,b;...\" string or an array of {family,a,b} objects".into(),
-                        ))
-                    }
-                },
-            }),
-            "simulate" => {
-                let rates = fields.take_rates("rates")?;
-                RequestKind::Simulate(SimulateSpec {
-                    rates,
-                    discipline: fields.take_str("discipline")?.unwrap_or_else(|| "fs".into()),
-                    horizon: fields.take_f64("horizon")?.unwrap_or(100_000.0),
-                    warmup: fields.take_f64("warmup")?,
-                    windows: fields.take_usize("windows")?,
-                    seed: fields.take_u64("seed")?.unwrap_or(1),
-                    service: fields.take_str("service")?.unwrap_or_else(|| "M".into()),
-                })
-            }
-            "table" => RequestKind::Table(TableSpec {
-                rates: fields.take_rates("rates")?,
-            }),
-            "protect" => RequestKind::Protect(ProtectSpec {
-                n: fields.take_usize("n")?.unwrap_or(4),
-                victim: fields.take_f64("victim")?.unwrap_or(0.1),
-                discipline: fields.take_str("discipline")?.unwrap_or_else(|| "fs".into()),
-            }),
-            "exp" => RequestKind::Exp(ExpSpec {
-                exp: fields.take_str("exp")?.ok_or_else(|| {
-                    ServeError::Parse("exp requests need an \"exp\" id (e.g. \"t1\")".into())
-                })?,
-                seed: fields.take_u64("seed")?.unwrap_or(0),
-                threads: fields.take_usize("threads")?.unwrap_or(1),
-                smoke: fields.take_bool("smoke")?.unwrap_or(false),
-            }),
-            "largen" => RequestKind::Largen(LargenSpec {
-                discipline: fields.take_str("discipline")?.unwrap_or_else(|| "fs".into()),
-                n: fields.take_u64("n")?.unwrap_or(10_000),
-                classes: match fields.take("classes") {
-                    None => parse_users(DEFAULT_CLASSES)?,
-                    Some(Json::Str(s)) => parse_users(&s)?,
-                    Some(Json::Arr(items)) => parse_users_array(&items)?,
-                    Some(_) => {
-                        return Err(ServeError::Parse(
-                            "\"classes\" must be a \"family:a,b;...\" string or an array of {family,a,b} objects".into(),
-                        ))
-                    }
-                },
-                weights: match fields.take("weights") {
-                    None => Vec::new(),
-                    Some(Json::Arr(items)) => {
-                        let mut weights = Vec::with_capacity(items.len());
-                        for item in &items {
-                            match item {
-                                Json::Num(x) if x.is_finite() && *x > 0.0 => weights.push(*x),
-                                _ => {
-                                    return Err(ServeError::BadRequest(
-                                        "\"weights\" entries must be finite numbers > 0".into(),
-                                    ))
-                                }
-                            }
-                        }
-                        weights
-                    }
-                    Some(_) => {
-                        return Err(ServeError::Parse(
-                            "\"weights\" must be an array of numbers".into(),
-                        ))
-                    }
-                },
-                seed: fields.take_u64("seed")?.unwrap_or(1),
-                threads: fields.take_usize("threads")?.unwrap_or(1),
-            }),
+            "nash" => RequestKind::Nash(read_spec(&mut fields)?),
+            "simulate" => RequestKind::Simulate(read_spec(&mut fields)?),
+            "table" => RequestKind::Table(read_spec(&mut fields)?),
+            "protect" => RequestKind::Protect(read_spec(&mut fields)?),
+            "exp" => RequestKind::Exp(read_spec(&mut fields)?),
+            "largen" => RequestKind::Largen(read_spec(&mut fields)?),
             "batch" => {
                 if !allow_batch {
                     return Err(ServeError::Parse("batch requests do not nest".into()));
@@ -230,146 +164,22 @@ impl Request {
 }
 
 impl RequestKind {
-    /// The canonical form of a cacheable request: kind tag plus every
-    /// field, defaults filled, aliases resolved, client id excluded.
-    /// Non-cacheable kinds (`batch`, `stats`, `shutdown`) return `None`
-    /// — a batch's *sub-requests* are each cached individually.
+    /// The canonical form of a cacheable request: the kind tag plus every
+    /// keyed field of the spec's walk, defaults filled, aliases resolved,
+    /// client id excluded. Non-cacheable kinds (`batch`, `stats`,
+    /// `shutdown`) return `None` — a batch's *sub-requests* are each
+    /// cached individually.
     #[must_use]
     pub fn canonical_json(&self) -> Option<Json> {
-        let obj = |kind: &str, mut rest: Vec<(String, Json)>| {
-            let mut pairs = vec![("kind".to_string(), Json::Str(kind.into()))];
-            pairs.append(&mut rest);
-            Json::Obj(pairs)
-        };
-        match self {
-            RequestKind::Nash(s) => Some(obj(
-                "nash",
-                vec![
-                    (
-                        "discipline".into(),
-                        Json::Str(canonical_alloc_name(&s.discipline).into()),
-                    ),
-                    (
-                        "users".into(),
-                        Json::Arr(
-                            s.users
-                                .iter()
-                                .map(|u| {
-                                    Json::Obj(vec![
-                                        ("family".into(), Json::Str(u.family.clone())),
-                                        ("a".into(), Json::Num(u.a)),
-                                        ("b".into(), Json::Num(u.b)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ],
-            )),
-            RequestKind::Simulate(s) => Some(obj(
-                "simulate",
-                vec![
-                    (
-                        "rates".into(),
-                        Json::Arr(s.rates.iter().map(|&r| Json::Num(r)).collect()),
-                    ),
-                    (
-                        "discipline".into(),
-                        Json::Str(canonical_kind_name(&s.discipline).into()),
-                    ),
-                    ("horizon".into(), Json::Num(s.horizon)),
-                    // The builder derives warmup = horizon/10 when unset,
-                    // so an explicit horizon/10 is the same simulation.
-                    (
-                        "warmup".into(),
-                        Json::Num(s.warmup.unwrap_or(s.horizon * 0.1)),
-                    ),
-                    (
-                        "windows".into(),
-                        Json::Num(usize_to_num(s.windows.unwrap_or(32))),
-                    ),
-                    ("seed".into(), Json::Num(u64_to_num(s.seed))),
-                    ("service".into(), canonical_service_json(&s.service)),
-                ],
-            )),
-            RequestKind::Table(s) => Some(obj(
-                "table",
-                vec![(
-                    "rates".into(),
-                    Json::Arr(s.rates.iter().map(|&r| Json::Num(r)).collect()),
-                )],
-            )),
-            RequestKind::Protect(s) => Some(obj(
-                "protect",
-                vec![
-                    ("n".into(), Json::Num(usize_to_num(s.n))),
-                    ("victim".into(), Json::Num(s.victim)),
-                    (
-                        "discipline".into(),
-                        Json::Str(canonical_alloc_name(&s.discipline).into()),
-                    ),
-                ],
-            )),
-            RequestKind::Exp(s) => Some(obj(
-                "exp",
-                vec![
-                    ("exp".into(), Json::Str(s.exp.clone())),
-                    ("seed".into(), Json::Num(u64_to_num(s.seed))),
-                    ("threads".into(), Json::Num(usize_to_num(s.threads))),
-                    ("smoke".into(), Json::Bool(s.smoke)),
-                ],
-            )),
-            RequestKind::Largen(s) => {
-                // Weights are canonicalized to an explicit normalized
-                // vector: `[1,1]`, `[2,2]`, and omitted all describe the
-                // same game over two classes. Invalid weight shapes pass
-                // through raw — they fail at execution, uncached.
-                let k = s.classes.len();
-                let raw: Vec<f64> = if s.weights.is_empty() {
-                    vec![1.0; k]
-                } else {
-                    s.weights.clone()
-                };
-                let sum: f64 = raw.iter().sum();
-                let weights: Vec<f64> = if raw.len() == k && sum > 0.0 && sum.is_finite() {
-                    raw.iter().map(|w| w / sum).collect()
-                } else {
-                    raw
-                };
-                Some(obj(
-                    "largen",
-                    vec![
-                        (
-                            "discipline".into(),
-                            Json::Str(canonical_largen_name(&s.discipline).into()),
-                        ),
-                        ("n".into(), Json::Num(u64_to_num(s.n))),
-                        (
-                            "classes".into(),
-                            Json::Arr(
-                                s.classes
-                                    .iter()
-                                    .map(|u| {
-                                        Json::Obj(vec![
-                                            ("family".into(), Json::Str(u.family.clone())),
-                                            ("a".into(), Json::Num(u.a)),
-                                            ("b".into(), Json::Num(u.b)),
-                                        ])
-                                    })
-                                    .collect(),
-                            ),
-                        ),
-                        (
-                            "weights".into(),
-                            Json::Arr(weights.into_iter().map(Json::Num).collect()),
-                        ),
-                        ("seed".into(), Json::Num(u64_to_num(s.seed))),
-                        // gn:canon-exempt(LargenSpec.threads: large-N solvers are bitwise identical at any thread count (pinned by the largen determinism tests), so pool width must not split the cache)
-                    ],
-                ))
-            }
-            RequestKind::Batch(_) | RequestKind::Stats | RequestKind::Shutdown => None,
-        }
+        Some(match self {
+            RequestKind::Nash(s) => key_spec("nash", s),
+            RequestKind::Simulate(s) => key_spec("simulate", s),
+            RequestKind::Table(s) => key_spec("table", s),
+            RequestKind::Protect(s) => key_spec("protect", s),
+            RequestKind::Exp(s) => key_spec("exp", s),
+            RequestKind::Largen(s) => key_spec("largen", s),
+            RequestKind::Batch(_) | RequestKind::Stats | RequestKind::Shutdown => return None,
+        })
     }
 
     /// The 128-bit cache key of a cacheable request.
@@ -385,6 +195,249 @@ fn u64_to_num(x: u64) -> f64 {
 
 fn usize_to_num(x: usize) -> f64 {
     x as f64
+}
+
+// ---------------------------------------------------------------------
+// The field walk
+
+/// A request spec whose wire fields are listed once, in [`Spec::walk`].
+///
+/// Parsing ([`read_spec`]) and the cache key ([`key_spec`]) both run the
+/// walk, so they cannot disagree about which fields exist. A field the
+/// walk reads is keyed unless it is read through [`Walk::unkeyed`], and a
+/// struct field the walk never visits cannot be set from the wire at all:
+/// [`Fields::finish`] rejects it as unknown. `Default` is only the blank
+/// the walk fills; the wire defaults are the walk's own.
+trait Spec: Default + Clone {
+    /// Visits every wire field in parse order. The order fixes which error
+    /// a line with two bad fields gets, and the order of the canonical form.
+    fn walk(&mut self, w: &mut Walk<'_>);
+}
+
+/// One pass over a spec's fields, in one of two modes.
+enum Walk<'a> {
+    /// Fill the spec from the request object. The first failure is kept
+    /// and the fields after it are skipped, so it is the one reported.
+    Read(&'a mut Fields, &'a mut Option<ServeError>),
+    /// Append each keyed field's canonical value, in walk order.
+    Key(&'a mut Vec<(String, Json)>),
+}
+
+/// Parses a spec by walking its fields over the request object.
+fn read_spec<S: Spec>(fields: &mut Fields) -> Result<S, ServeError> {
+    let mut spec = S::default();
+    let mut err = None;
+    spec.walk(&mut Walk::Read(fields, &mut err));
+    match err {
+        Some(e) => Err(e),
+        None => Ok(spec),
+    }
+}
+
+/// The canonical form of a spec: its kind tag plus its keyed fields.
+fn key_spec<S: Spec>(kind: &str, spec: &S) -> Json {
+    let mut pairs = vec![("kind".to_string(), Json::Str(kind.into()))];
+    spec.clone().walk(&mut Walk::Key(&mut pairs));
+    Json::Obj(pairs)
+}
+
+/// Reads an optional field, filling in `default` when it is absent.
+fn or<T>(
+    take: fn(&mut Fields, &str) -> Result<Option<T>, ServeError>,
+    default: T,
+) -> impl FnOnce(&mut Fields, &str) -> Result<T, ServeError> {
+    move |fields, name| Ok(take(fields, name)?.unwrap_or(default))
+}
+
+impl Walk<'_> {
+    /// A keyed field: read into `v` by `read`, or keyed as `key(v)`.
+    fn field<T>(
+        &mut self,
+        name: &str,
+        v: &mut T,
+        read: impl FnOnce(&mut Fields, &str) -> Result<T, ServeError>,
+        key: impl FnOnce(&T) -> Json,
+    ) {
+        match self {
+            Walk::Read(..) => self.read(name, v, read),
+            Walk::Key(pairs) => pairs.push((name.to_string(), key(v))),
+        }
+    }
+
+    /// A field that is read but never keyed: the only way to leave a
+    /// parsed field out of the cache key. `_why` says at the call site
+    /// why varying the field cannot change the result.
+    fn unkeyed<T>(
+        &mut self,
+        name: &str,
+        v: &mut T,
+        read: impl FnOnce(&mut Fields, &str) -> Result<T, ServeError>,
+        _why: &str,
+    ) {
+        self.read(name, v, read);
+    }
+
+    fn read<T>(
+        &mut self,
+        name: &str,
+        v: &mut T,
+        read: impl FnOnce(&mut Fields, &str) -> Result<T, ServeError>,
+    ) {
+        if let Walk::Read(fields, err) = self {
+            if err.is_none() {
+                match read(fields, name) {
+                    Ok(x) => *v = x,
+                    Err(e) => **err = Some(e),
+                }
+            }
+        }
+    }
+
+    fn str(&mut self, name: &str, v: &mut String, default: &str, key: impl FnOnce(&str) -> Json) {
+        let read = or(Fields::take_str, default.to_string());
+        self.field(name, v, read, |s| key(s));
+    }
+
+    /// Every spec's `discipline`: `fs` by default, keyed after `canon`
+    /// resolves its aliases.
+    fn discipline(&mut self, v: &mut String, canon: fn(&str) -> &str) {
+        self.str("discipline", v, "fs", |s| Json::Str(canon(s).into()));
+    }
+
+    fn f64(&mut self, name: &str, v: &mut f64, default: f64) {
+        self.field(name, v, or(Fields::take_f64, default), |x| Json::Num(*x));
+    }
+
+    fn u64(&mut self, name: &str, v: &mut u64, default: u64) {
+        let key = |x: &u64| Json::Num(u64_to_num(*x));
+        self.field(name, v, or(Fields::take_u64, default), key);
+    }
+
+    fn usize(&mut self, name: &str, v: &mut usize, default: usize) {
+        let key = |x: &usize| Json::Num(usize_to_num(*x));
+        self.field(name, v, or(Fields::take_usize, default), key);
+    }
+
+    fn rates(&mut self, name: &str, v: &mut Vec<f64>) {
+        self.field(name, v, Fields::take_rates, |r| nums_json(r));
+    }
+
+    fn users(&mut self, name: &str, v: &mut Vec<UtilityParam>, default: &str) {
+        let read = |fields: &mut Fields, name: &str| fields.take_users(name, default);
+        self.field(name, v, read, |u| users_json(u));
+    }
+}
+
+impl Spec for NashSpec {
+    fn walk(&mut self, w: &mut Walk<'_>) {
+        w.discipline(&mut self.discipline, canonical_alloc_name);
+        w.users("users", &mut self.users, DEFAULT_USERS);
+    }
+}
+
+impl Spec for SimulateSpec {
+    fn walk(&mut self, w: &mut Walk<'_>) {
+        w.rates("rates", &mut self.rates);
+        w.discipline(&mut self.discipline, canonical_kind_name);
+        w.f64("horizon", &mut self.horizon, 100_000.0);
+        // The builder derives warmup = horizon/10 when unset, so an
+        // explicit horizon/10 is the same simulation.
+        let horizon = self.horizon;
+        let warmup = |w: &Option<f64>| Json::Num(w.unwrap_or(horizon * 0.1));
+        w.field("warmup", &mut self.warmup, Fields::take_f64, warmup);
+        let windows = |k: &Option<usize>| Json::Num(usize_to_num(k.unwrap_or(DEFAULT_WINDOWS)));
+        w.field("windows", &mut self.windows, Fields::take_usize, windows);
+        w.u64("seed", &mut self.seed, 1);
+        w.str("service", &mut self.service, "M", canonical_service_json);
+    }
+}
+
+impl Spec for TableSpec {
+    fn walk(&mut self, w: &mut Walk<'_>) {
+        w.rates("rates", &mut self.rates);
+    }
+}
+
+impl Spec for ProtectSpec {
+    fn walk(&mut self, w: &mut Walk<'_>) {
+        w.usize("n", &mut self.n, 4);
+        w.f64("victim", &mut self.victim, 0.1);
+        w.discipline(&mut self.discipline, canonical_alloc_name);
+    }
+}
+
+impl Spec for ExpSpec {
+    fn walk(&mut self, w: &mut Walk<'_>) {
+        let exp = |fields: &mut Fields, name: &str| {
+            fields.take_str(name)?.ok_or_else(|| {
+                ServeError::Parse("exp requests need an \"exp\" id (e.g. \"t1\")".into())
+            })
+        };
+        w.field("exp", &mut self.exp, exp, |s| Json::Str(s.clone()));
+        w.u64("seed", &mut self.seed, 0);
+        // Key the width that runs, so `0` shares the entry of `1`.
+        let workers = Json::Num(usize_to_num(self.workers()));
+        let threads = or(Fields::take_usize, 1);
+        w.field("threads", &mut self.threads, threads, |_| workers);
+        let smoke = or(Fields::take_bool, false);
+        w.field("smoke", &mut self.smoke, smoke, |b| Json::Bool(*b));
+    }
+}
+
+impl Spec for LargenSpec {
+    fn walk(&mut self, w: &mut Walk<'_>) {
+        w.discipline(&mut self.discipline, canonical_largen_name);
+        w.u64("n", &mut self.n, 10_000);
+        w.users("classes", &mut self.classes, DEFAULT_CLASSES);
+        let classes = self.classes.len();
+        let weights = |ws: &Vec<f64>| weights_json(ws, classes);
+        w.field("weights", &mut self.weights, Fields::take_weights, weights);
+        w.u64("seed", &mut self.seed, 1);
+        w.unkeyed(
+            "threads",
+            &mut self.threads,
+            or(Fields::take_usize, 1),
+            "large-N solvers are bitwise identical at any thread count (pinned by the largen determinism tests), so pool width must not split the cache",
+        );
+    }
+}
+
+fn nums_json(xs: &[f64]) -> Json {
+    Json::Arr(xs.iter().map(|&x| Json::Num(x)).collect())
+}
+
+fn users_json(users: &[UtilityParam]) -> Json {
+    Json::Arr(
+        users
+            .iter()
+            .map(|u| {
+                Json::Obj(vec![
+                    ("family".into(), Json::Str(u.family.clone())),
+                    ("a".into(), Json::Num(u.a)),
+                    ("b".into(), Json::Num(u.b)),
+                ])
+            })
+            .collect(),
+    )
+}
+
+/// `largen` weights as an explicit normalized vector: `[1,1]`, `[2,2]`
+/// and omitted all describe the same game over two classes. A shape that
+/// cannot be normalized (wrong length, or a sum that is not finite and
+/// positive) is keyed raw; it fails at execution, uncached.
+fn weights_json(weights: &[f64], classes: usize) -> Json {
+    let raw = if weights.is_empty() {
+        vec![1.0; classes]
+    } else {
+        weights.to_vec()
+    };
+    let sum: f64 = raw.iter().sum();
+    let scale = raw.len() == classes && sum > 0.0 && sum.is_finite();
+    Json::Arr(
+        raw.iter()
+            .map(|&w| Json::Num(if scale { w / sum } else { w }))
+            .collect(),
+    )
 }
 
 /// Tracks which fields of a request object have been consumed so
@@ -437,34 +490,24 @@ impl Fields {
         }
     }
 
-    fn take_u64(&mut self, key: &str) -> Result<Option<u64>, ServeError> {
+    /// A non-negative integer below 2^53, still as the f64 the wire sent.
+    fn take_int(&mut self, key: &str) -> Result<Option<f64>, ServeError> {
         match self.take_f64(key)? {
-            None => Ok(None),
-            Some(x) => {
-                if x >= 0.0 && x.fract() == 0.0 && x < MAX_SAFE_INT {
-                    Ok(Some(f64_to_u64(x)))
-                } else {
-                    Err(ServeError::BadRequest(format!(
-                        "\"{key}\" must be a non-negative integer below 2^53"
-                    )))
-                }
+            Some(x) if !(x >= 0.0 && x.fract() == 0.0 && x < MAX_SAFE_INT) => {
+                Err(ServeError::BadRequest(format!(
+                    "\"{key}\" must be a non-negative integer below 2^53"
+                )))
             }
+            x => Ok(x),
         }
     }
 
+    fn take_u64(&mut self, key: &str) -> Result<Option<u64>, ServeError> {
+        Ok(self.take_int(key)?.map(f64_to_u64))
+    }
+
     fn take_usize(&mut self, key: &str) -> Result<Option<usize>, ServeError> {
-        match self.take_f64(key)? {
-            None => Ok(None),
-            Some(x) => {
-                if x >= 0.0 && x.fract() == 0.0 && x < MAX_SAFE_INT {
-                    Ok(Some(f64_to_usize(x)))
-                } else {
-                    Err(ServeError::BadRequest(format!(
-                        "\"{key}\" must be a non-negative integer below 2^53"
-                    )))
-                }
-            }
-        }
+        Ok(self.take_int(key)?.map(f64_to_usize))
     }
 
     /// A required rate list: non-empty array of finite, non-negative
@@ -480,23 +523,53 @@ impl Fields {
                 "\"{key}\" must be an array of numbers"
             )));
         };
-        let mut rates = Vec::with_capacity(items.len());
-        for item in &items {
-            match item {
-                Json::Num(x) if x.is_finite() && *x >= 0.0 => rates.push(*x),
-                _ => {
-                    return Err(ServeError::BadRequest(format!(
-                        "\"{key}\" entries must be finite numbers >= 0"
-                    )))
-                }
-            }
-        }
+        let rates = numbers(
+            &items,
+            |x| x >= 0.0,
+            || format!("\"{key}\" entries must be finite numbers >= 0"),
+        )?;
         if rates.is_empty() {
             return Err(ServeError::BadRequest(format!(
                 "\"{key}\" must not be empty"
             )));
         }
         Ok(rates)
+    }
+
+    /// Optional class weights: finite numbers > 0, empty when absent.
+    fn take_weights(&mut self, key: &str) -> Result<Vec<f64>, ServeError> {
+        match self.take(key) {
+            None => Ok(Vec::new()),
+            Some(Json::Arr(items)) => numbers(
+                &items,
+                |x| x > 0.0,
+                || format!("\"{key}\" entries must be finite numbers > 0"),
+            ),
+            Some(_) => Err(ServeError::Parse(format!(
+                "\"{key}\" must be an array of numbers"
+            ))),
+        }
+    }
+
+    /// A utility list in the CLI's `family:a,b;...` string form or as an
+    /// array of `{family,a,b}` objects, parsed from `default` (string
+    /// form) when absent. Both forms trim and lower-case each family
+    /// here, so they key alike.
+    fn take_users(&mut self, key: &str, default: &str) -> Result<Vec<UtilityParam>, ServeError> {
+        let mut users = match self.take(key) {
+            None => parse_users(default)?,
+            Some(Json::Str(s)) => parse_users(&s)?,
+            Some(Json::Arr(items)) => parse_users_array(&items)?,
+            Some(_) => {
+                return Err(ServeError::Parse(format!(
+                    "\"{key}\" must be a \"family:a,b;...\" string or an array of {{family,a,b}} objects"
+                )))
+            }
+        };
+        for u in &mut users {
+            u.family = u.family.trim().to_lowercase();
+        }
+        Ok(users)
     }
 
     fn finish(self) -> Result<(), ServeError> {
@@ -507,6 +580,22 @@ impl Fields {
         }
         Ok(())
     }
+}
+
+/// The entries of a number array, each finite and passing `ok`; any
+/// other entry is a [`ServeError::BadRequest`] with message `bad()`.
+fn numbers(
+    items: &[Json],
+    ok: impl Fn(f64) -> bool,
+    bad: impl Fn() -> String,
+) -> Result<Vec<f64>, ServeError> {
+    items
+        .iter()
+        .map(|item| match item {
+            Json::Num(x) if x.is_finite() && ok(*x) => Ok(*x),
+            _ => Err(ServeError::BadRequest(bad())),
+        })
+        .collect()
 }
 
 /// Parses the CLI's `family:a,b;family:a,b` utility syntax.
@@ -528,7 +617,7 @@ fn parse_users(s: &str) -> Result<Vec<UtilityParam>, ServeError> {
             return Err(ServeError::Parse(format!("bad numbers in '{part}'")));
         };
         out.push(UtilityParam {
-            family: family.trim().to_lowercase(),
+            family: family.to_string(),
             a,
             b,
         });

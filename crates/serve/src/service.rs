@@ -363,6 +363,31 @@ mod tests {
     }
 
     #[test]
+    fn equivalent_spellings_are_cache_hits() {
+        // Array-form families normalize like the string form, and an
+        // experiment at 0 threads runs on the one worker that 1 names.
+        let service = Service::new(ServeOptions::default());
+        for (first, second, key) in [
+            (
+                r#"{"kind":"nash","users":"LOG:0.5,1.0; linear:1.0,0.4"}"#,
+                r#"{"kind":"nash","users":[{"family":"LOG","a":0.5,"b":1.0},{"family":"linear","a":1.0,"b":0.4}]}"#,
+                "d482648e33f89446c0e62c9516c701eb",
+            ),
+            (
+                r#"{"kind":"exp","exp":"t1","smoke":true,"threads":1}"#,
+                r#"{"kind":"exp","exp":"t1","smoke":true,"threads":0}"#,
+                "f412015ca46963af1c5f4bb4c1ce8867",
+            ),
+        ] {
+            let out = run_lines(&service, &format!("{first}\n{second}\n"));
+            // miss: accepted, progress, result; hit: accepted, result.
+            assert_eq!(out.len(), 5, "{out:?}");
+            assert!(out[0].contains(key) && out[3].contains(key), "{out:?}");
+            assert!(out[4].contains(r#""cached":true"#), "{out:?}");
+        }
+    }
+
+    #[test]
     fn parse_and_request_errors_do_not_kill_the_stream() {
         let service = Service::new(ServeOptions::default());
         let out = run_lines(
