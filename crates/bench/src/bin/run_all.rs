@@ -1,4 +1,4 @@
-//! Runs every registered experiment in-process (T1, E1–E15), producing
+//! Runs every registered experiment in-process (T1, E1–E18), producing
 //! the full paper-reproduction report captured in EXPERIMENTS.md.
 //!
 //! `cargo run --release -p greednet-bench --bin run_all -- [--seed N]

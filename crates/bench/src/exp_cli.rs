@@ -1,15 +1,16 @@
-//! Shared command-line driver for the experiment binaries.
+//! Shared experiment-runner options and the one dispatch path over the
+//! central registry.
 //!
-//! Every `src/bin/exp_*` target is a one-liner delegating here; the
-//! `greednet exp` subcommand in the CLI crate goes through
-//! [`run_experiment`] as well, so there is exactly one dispatch path over
-//! the central registry.
+//! `greednet exp <id>` (the CLI crate), the `run_all` binary and the
+//! serve `exp` request all parse [`ExpArgs`] or call
+//! [`run_experiment`], so there is exactly one way to run an experiment
+//! by id.
 
 use crate::experiments::registry;
 use greednet_runtime::{available_threads, Budget, ExpCtx, Format, RunReport};
 
 /// Parsed experiment-runner options (shared by all entry points).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExpArgs {
     /// Root seed (default 0).
     pub seed: u64,
@@ -102,36 +103,6 @@ pub fn run_experiment(id: &str, ctx: &ExpCtx) -> Result<RunReport, String> {
         )
     })?;
     Ok(exp.run(ctx))
-}
-
-/// Entry point for the thin `exp_*` binaries: parse common flags, run
-/// the experiment, print the report, exit non-zero on bad arguments.
-pub fn exp_main(id: &str) {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = match ExpArgs::parse(&argv) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!(
-                "usage: [--seed N] [--threads N] [--json|--csv|--format F] [--smoke] [--metrics]"
-            );
-            std::process::exit(2);
-        }
-    };
-    match run_experiment(id, &args.ctx()) {
-        Ok(report) => {
-            print!("{}", report.render(args.format));
-            // Non-deterministic wall-clock telemetry goes to stderr so the
-            // deterministic report on stdout stays bitwise reproducible.
-            if args.metrics && !report.telemetry().is_empty() {
-                eprint!("{}", report.render_telemetry());
-            }
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    }
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 
 use greednet_core::game::{Game, NashOptions};
 use greednet_core::utility::{BoxedUtility, LogUtility, UtilityExt};
-use greednet_des::{Fifo, ServiceDist, SimConfig, Simulator};
+use greednet_des::{Engine, EngineConfig, Fifo, ServiceDist};
 use greednet_queueing::kernelized::{KernelFairShare, KernelProportional};
 use greednet_queueing::mm1::{CongestionKernel, Mg1Kernel};
 use greednet_queueing::AllocationFunction;
@@ -45,14 +45,10 @@ impl Experiment for E13Mg1 {
             ParallelSweep::new(ctx.threads).map_seeded(ctx.stage_seed(1), &dists, |seed, &dist| {
                 let kernel = Mg1Kernel::new(dist.cs2());
                 let expect = kernel.g(0.6);
-                let cfg = SimConfig::builder(rates.clone())
-                    .horizon(horizon)
-                    .seed(seed)
-                    .service(dist)
-                    .build()
-                    .expect("valid config");
-                let sim = Simulator::new(cfg).expect("simulator");
-                let r = sim.run(&mut Fifo::default()).expect("simulate");
+                let mut cfg = EngineConfig::open_loop(&rates, horizon, seed);
+                cfg.service = dist;
+                let engine = Engine::new(cfg).expect("valid config");
+                let r = engine.run(&mut Fifo::default()).expect("simulate").result;
                 (dist, expect, r.total_mean_queue)
             });
         let mut t = Table::new(&["service", "cs2", "P-K total", "simulated", "rel.err"]);

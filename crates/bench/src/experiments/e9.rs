@@ -7,7 +7,7 @@
 
 use crate::experiments::{histogram_rows, mean_and_hw};
 use greednet_des::scenarios::DisciplineKind;
-use greednet_des::{MetricsProbe, SimConfig, SimMetrics, Simulator};
+use greednet_des::{Engine, EngineConfig, MetricsProbe, SimMetrics};
 use greednet_queueing::{mm1, AllocationFunction, FairShare, Proportional, SerialPriority};
 use greednet_runtime::{
     child_seed, Cell, ExpCtx, Experiment, PoolStats, Replications, RunReport, Table,
@@ -34,20 +34,19 @@ fn replicate(
 ) -> (BatchEstimates, Option<(SimMetrics, PoolStats)>) {
     let batch = Replications::new(reps, ctx.stage_seed(stage));
     let simulate = |seed: u64| {
-        let cfg = SimConfig::builder(rates.to_vec())
-            .horizon(horizon)
-            .seed(seed)
-            .build()
-            .expect("valid config");
-        let sim = Simulator::new(cfg).expect("simulator");
+        let engine =
+            Engine::new(EngineConfig::open_loop(rates, horizon, seed)).expect("valid config");
         let d = kind.build(rates, child_seed(seed, 1)).expect("discipline");
-        (sim, d)
+        (engine, d)
     };
     if ctx.telemetry {
         let (out, pool) = batch.run_profiled(ctx.threads, |_, seed| {
-            let (sim, mut d) = simulate(seed);
+            let (engine, mut d) = simulate(seed);
             let mut probe = MetricsProbe::new(rates.len());
-            let r = sim.run_probed(d.as_mut(), &mut probe).expect("simulate");
+            let r = engine
+                .run_probed(d.as_mut(), &mut probe)
+                .expect("simulate")
+                .result;
             ((r.mean_queue, r.total_queue_dist), probe.into_metrics())
         });
         let mut merged = SimMetrics::new(rates.len());
@@ -59,8 +58,8 @@ fn replicate(
         (data, Some((merged, pool)))
     } else {
         let data = batch.run(ctx.threads, |_, seed| {
-            let (sim, mut d) = simulate(seed);
-            let r = sim.run(d.as_mut()).expect("simulate");
+            let (engine, mut d) = simulate(seed);
+            let r = engine.run(d.as_mut()).expect("simulate").result;
             (r.mean_queue, r.total_queue_dist)
         });
         (data, None)

@@ -3,7 +3,7 @@
 //! parallel batch of packet-simulation replications.
 
 use crate::experiments::{histogram_rows, mean_and_hw};
-use greednet_des::{FsPriorityTable, MetricsProbe, SimConfig, SimMetrics, Simulator};
+use greednet_des::{Engine, EngineConfig, FsPriorityTable, MetricsProbe, SimMetrics};
 use greednet_queueing::fair_share::priority_table;
 use greednet_queueing::{AllocationFunction, FairShare};
 use greednet_runtime::{child_seed, Cell, ExpCtx, Experiment, Replications, RunReport, Table};
@@ -50,22 +50,21 @@ impl Experiment for T1PriorityTable {
             reps.count()
         ));
         let simulate = |seed: u64| {
-            let cfg = SimConfig::builder(rates.to_vec())
-                .horizon(horizon)
-                .seed(seed)
-                .build()
-                .expect("valid config");
-            let sim = Simulator::new(cfg).expect("simulator");
+            let engine =
+                Engine::new(EngineConfig::open_loop(&rates, horizon, seed)).expect("valid config");
             let d = FsPriorityTable::new(&rates, child_seed(seed, 1)).expect("discipline");
-            (sim, d)
+            (engine, d)
         };
         // Telemetry runs probed: same estimates bitwise (the probe only
         // observes), with per-replication metrics merged in task order.
         let (runs, metrics) = if ctx.telemetry {
             let (out, pool) = reps.run_profiled(ctx.threads, |_, seed| {
-                let (sim, mut d) = simulate(seed);
+                let (engine, mut d) = simulate(seed);
                 let mut probe = MetricsProbe::new(rates.len());
-                let r = sim.run_probed(&mut d, &mut probe).expect("simulate");
+                let r = engine
+                    .run_probed(&mut d, &mut probe)
+                    .expect("simulate")
+                    .result;
                 ((r.mean_queue, r.events), probe.into_metrics())
             });
             report
@@ -80,8 +79,8 @@ impl Experiment for T1PriorityTable {
             (data, Some(merged))
         } else {
             let data = reps.run(ctx.threads, |_, seed| {
-                let (sim, mut d) = simulate(seed);
-                let r = sim.run(&mut d).expect("simulate");
+                let (engine, mut d) = simulate(seed);
+                let r = engine.run(&mut d).expect("simulate").result;
                 (r.mean_queue, r.events)
             });
             (data, None)

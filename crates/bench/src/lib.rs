@@ -2,39 +2,41 @@
 //! Networks"*.
 //!
 //! The paper is analytic: its evaluation artifacts are Table 1 and the
-//! quantitative content of Theorems 1–8 / Corollaries 1–2. Each binary in
-//! `src/bin/` regenerates one artifact as a printed table (see DESIGN.md
-//! §4 for the index and EXPERIMENTS.md for paper-vs-measured records):
+//! quantitative content of Theorems 1–8 / Corollaries 1–2. Each
+//! experiment regenerates one artifact as a printed table, run by id as
+//! `greednet exp <id>` (see DESIGN.md §4 for the index and
+//! EXPERIMENTS.md for paper-vs-measured records):
 //!
-//! | binary | artifact |
+//! | id | artifact |
 //! |---|---|
-//! | `exp_t1_priority_table` | Table 1 + packet validation |
-//! | `exp_e1_efficiency` | Thm 1 & 2 (Pareto efficiency of Nash) |
-//! | `exp_e2_envy` | Thm 3 (unilateral envy-freeness) |
-//! | `exp_e3_uniqueness` | Thm 4 (uniqueness of Nash) |
-//! | `exp_e4_stackelberg` | Thm 5 (leader advantage) |
-//! | `exp_e5_revelation` | Thm 6 (truthfulness of `B^FS`) |
-//! | `exp_e6_convergence` | Thm 7 (relaxation spectra, Newton dynamics) |
-//! | `exp_e7_protection` | Thm 8 (protection bounds) |
-//! | `exp_e8_alt_constraint` | Cor. 2 (alternative constraints) |
-//! | `exp_e9_des_validation` | §3.1 closed forms vs packets |
-//! | `exp_e10_dynamics` | §2.2/§4.2.2 noisy hill climbing |
-//! | `exp_e10_ftp_telnet` | §5.2 FTP/Telnet/blaster mix |
-//! | `exp_e11_elimination` | §4.2.2 generalized hill climbing + learning automata |
-//! | `exp_e12_network` | §5.4 networks of switches |
-//! | `exp_e13_mg1` | footnote 5: M/G/1 kernels |
-//! | `exp_e14_coalitions` | footnote 14: coalition resilience |
-//! | `exp_e15_blend_ablation` | ablation along the FIFO→FS blend |
-//! | `exp_e16_closed_loop` | §5.2 closed-loop AIMD sources + ECN marking |
-//!
-//! Criterion micro-benchmarks of the library kernels live in `benches/`.
+//! | `t1` | Table 1 + packet validation |
+//! | `e1` | Thm 1 & 2 (Pareto efficiency of Nash) |
+//! | `e2` | Thm 3 (unilateral envy-freeness) |
+//! | `e3` | Thm 4 (uniqueness of Nash) |
+//! | `e4` | Thm 5 (leader advantage) |
+//! | `e5` | Thm 6 (truthfulness of `B^FS`) |
+//! | `e6` | Thm 7 (relaxation spectra, Newton dynamics) |
+//! | `e7` | Thm 8 (protection bounds) |
+//! | `e8` | Cor. 2 (alternative constraints) |
+//! | `e9` | §3.1 closed forms vs packets |
+//! | `e10a` | §2.2/§4.2.2 noisy hill climbing |
+//! | `e10b` | §5.2 FTP/Telnet/blaster mix |
+//! | `e11` | §4.2.2 generalized hill climbing + learning automata |
+//! | `e12` | §5.4 networks of switches |
+//! | `e13` | footnote 5: M/G/1 kernels |
+//! | `e14` | footnote 14: coalition resilience |
+//! | `e15` | ablation along the FIFO→FS blend |
+//! | `e16` | §5.2 closed-loop AIMD sources + ECN marking |
+//! | `e17` | finite-N equilibria converge on the mean field |
+//! | `e18` | heavy-traffic slack exponents per discipline |
 //!
 //! Every experiment implements [`greednet_runtime::Experiment`] in
 //! [`experiments`] and is listed in the central [`experiments::registry`];
-//! the `src/bin/` targets are thin wrappers over [`exp_cli::exp_main`],
-//! and the same registry backs `greednet exp <id>` in the CLI crate. This
-//! `lib` target additionally holds the shared utilities (the
-//! [`DisciplineSet`], sampled utility profiles, standard game builders).
+//! [`exp_cli`] holds the shared runner options and the one dispatch path
+//! by id, which backs `greednet exp <id>` in the CLI crate and the
+//! `run_all` binary (every experiment in-process). This `lib` target
+//! additionally holds the shared utilities (the [`DisciplineSet`],
+//! sampled utility profiles, standard game builders).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

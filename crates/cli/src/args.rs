@@ -1,6 +1,7 @@
 //! Hand-rolled argument parsing for the `greednet` CLI (no external
 //! dependencies; the grammar is tiny).
 
+use greednet_bench::exp_cli::ExpArgs;
 use greednet_serve::request::{DEFAULT_CLASSES, DEFAULT_USERS};
 use std::fmt;
 
@@ -122,9 +123,9 @@ pub struct SimulateArgs {
     pub discipline: String,
     /// Simulated horizon.
     pub horizon: f64,
-    /// Warm-up interval (`None` keeps the builder default, horizon/10).
+    /// Warm-up interval (`None` keeps the engine default, horizon/10).
     pub warmup: Option<f64>,
-    /// Batch-means window count (`None` keeps the builder default).
+    /// Batch-means window count (`None` keeps the engine default).
     pub windows: Option<usize>,
     /// RNG seed.
     pub seed: u64,
@@ -187,11 +188,12 @@ pub struct ServeArgs {
 /// Arguments for `exp`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExpCmdArgs {
-    /// Experiment id (`t1`, `e1`..`e15`); `None` lists the registry.
+    /// Experiment id (`t1`, `e1`..`e18`); `None` lists the registry.
     pub id: Option<String>,
-    /// Remaining flags, handed verbatim to the shared experiment-runner
-    /// parser (`--seed`, `--threads`, `--json`, ...).
-    pub rest: Vec<String>,
+    /// The shared experiment-runner flags (`--seed`, `--threads`,
+    /// `--json`, ...), parsed with the rest of the command line so a bad
+    /// flag is a usage error.
+    pub opts: ExpArgs,
 }
 
 /// Arguments for `network`.
@@ -380,13 +382,12 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             }))
         }
         "exp" => {
-            let (id, rest) = match rest.first() {
-                Some(first) if !first.starts_with("--") => {
-                    (Some(first.clone()), rest[1..].to_vec())
-                }
-                _ => (None, rest.to_vec()),
+            let (id, flags) = match rest.split_first() {
+                Some((first, flags)) if !first.starts_with("--") => (Some(first.clone()), flags),
+                _ => (None, rest),
             };
-            Ok(Command::Exp(ExpCmdArgs { id, rest }))
+            let opts = ExpArgs::parse(flags).map_err(ParseError)?;
+            Ok(Command::Exp(ExpCmdArgs { id, opts }))
         }
         "serve" => {
             let opts = options(rest)?;
@@ -463,6 +464,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use greednet_runtime::Format;
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
@@ -597,17 +599,38 @@ mod tests {
             panic!()
         };
         assert_eq!(e.id.as_deref(), Some("e9"));
-        assert_eq!(e.rest, argv("--threads 4 --json"));
+        assert_eq!(e.opts, ExpArgs::parse(&argv("--threads 4 --json")).unwrap());
+        assert_eq!((e.opts.threads, e.opts.format), (4, Format::Json));
         let Command::Exp(e) = parse(&argv("exp")).unwrap() else {
             panic!()
         };
         assert_eq!(e.id, None);
-        assert!(e.rest.is_empty());
+        assert_eq!(e.opts, ExpArgs::default());
         let Command::Exp(e) = parse(&argv("exp --smoke")).unwrap() else {
             panic!()
         };
         assert_eq!(e.id, None);
-        assert_eq!(e.rest, argv("--smoke"));
+        assert!(e.opts.smoke);
+    }
+
+    #[test]
+    fn exp_flags_are_parsed_with_the_command_line() {
+        // A bad experiment flag is a usage error (exit 2 from `main`),
+        // caught before any experiment runs.
+        for bad in [
+            "exp e9 --wat",
+            "exp e9 --threads 0",
+            "exp e9 --format xml",
+            "exp e9 --seed",
+            "exp --wat",
+        ] {
+            let err = parse(&argv(bad)).unwrap_err();
+            assert!(!err.0.is_empty(), "{bad}");
+        }
+        assert_eq!(
+            parse(&argv("exp e9 --wat")).unwrap_err().0,
+            "unknown argument \"--wat\""
+        );
     }
 
     #[test]

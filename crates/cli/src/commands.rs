@@ -207,7 +207,7 @@ pub fn network(a: NetworkArgs) -> Result<(), String> {
 
 /// `greednet exp` — run one registry experiment (or list them all).
 pub fn exp(a: ExpCmdArgs) -> Result<(), String> {
-    use greednet_bench::exp_cli::{run_experiment, ExpArgs};
+    use greednet_bench::exp_cli::run_experiment;
     use greednet_bench::experiments::registry;
     let Some(id) = a.id else {
         println!("available experiments (greednet exp <ID> [--seed N] [--threads N] [--json|--csv] [--smoke] [--metrics]):");
@@ -216,12 +216,11 @@ pub fn exp(a: ExpCmdArgs) -> Result<(), String> {
         }
         return Ok(());
     };
-    let opts = ExpArgs::parse(&a.rest)?;
-    let report = run_experiment(&id, &opts.ctx())?;
-    print!("{}", report.render(opts.format));
+    let report = run_experiment(&id, &a.opts.ctx())?;
+    print!("{}", report.render(a.opts.format));
     // Wall-clock telemetry is non-deterministic, so it goes to stderr;
     // stdout stays bitwise reproducible for a fixed seed.
-    if opts.metrics && !report.telemetry().is_empty() {
+    if a.opts.metrics && !report.telemetry().is_empty() {
         eprint!("{}", report.render_telemetry());
     }
     Ok(())

@@ -1,12 +1,17 @@
-//! The event-calendar discrete-event engine.
+//! The event-calendar discrete-event engine, the crate's one simulator
+//! API.
 //!
-//! This is the successor of the old ad-hoc drain loop in `sim.rs`,
-//! restructured in the minim style: entity reactions (source fires, ACK
-//! deliveries) schedule typed [`Cmd`]s through a [`Context`] into an
-//! [`EventList`], which the engine commits to the [`EventCalendar`]
-//! after each dispatch. Between events, remaining work drains from the
-//! packet the `QDisc` serves, or from every active packet at the rate its
-//! share vector assigns when the discipline splits the server.
+//! Callers build an [`EngineConfig`] (usually from
+//! [`EngineConfig::open_loop`], then set `warmup`, `windows`, `service`
+//! or `allow_overload` as plain fields), validate it once in
+//! [`Engine::new`], and read the [`SimResult`] from the returned
+//! [`EngineReport`]. Entity reactions (source fires, ACK deliveries)
+//! schedule typed [`Cmd`]s through a [`Context`] into an [`EventList`],
+//! which the engine commits to the [`EventCalendar`] after each
+//! dispatch, in the minim style. Between events, remaining work drains
+//! from the packet the `QDisc` serves, or from every active packet at
+//! the rate its share vector assigns when the discipline splits the
+//! server.
 //!
 //! # Event structure
 //!
@@ -25,7 +30,7 @@
 //! # Bitwise compatibility with the drain-loop engine
 //!
 //! For all-open-loop configurations this engine is *bitwise equivalent*
-//! to the pre-calendar `Simulator`: the RNG stream layout (two master
+//! to the pre-calendar drain loop: the RNG stream layout (two master
 //! splits per source, arrivals then sizes), the completion/arrival
 //! scans, the `t_done <= t_arr` departure tie-break, the statistics
 //! accumulation order, and every float expression are preserved
@@ -41,7 +46,6 @@ use crate::error::DesError;
 use crate::qdisc::{ActivePacket, QDisc};
 use crate::rng::ExpStream;
 use crate::service::ServiceDist;
-use crate::sim::SimResult;
 use crate::units::{SimTime, Work};
 use crate::Result;
 use greednet_numerics::conv;
@@ -51,13 +55,17 @@ use greednet_telemetry::{
 };
 
 /// Batch-means windows for the confidence intervals when a caller does
-/// not choose: the `SimConfig`, `EngineConfig::open_loop` and scenario
-/// defaults, and the `greednet simulate` / serve `simulate` default.
+/// not choose: the [`EngineConfig::open_loop`] and scenario defaults,
+/// and the `greednet simulate` / serve `simulate` default.
 pub const DEFAULT_WINDOWS: usize = 32;
 
+/// Warm-up discarded from the statistics when a caller does not choose,
+/// as a fraction of the horizon: the [`EngineConfig::open_loop`] and
+/// scenario default, and the serve `simulate` cache key's.
+pub const DEFAULT_WARMUP_FRACTION: f64 = 0.1;
+
 /// Full engine configuration: a mix of open- and closed-loop sources
-/// plus the horizon/statistics parameters the legacy `SimConfig`
-/// carried. `SimConfig` (all-open-loop) converts into this.
+/// plus the horizon and statistics parameters.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// The traffic sources, in user order.
@@ -71,9 +79,13 @@ pub struct EngineConfig {
     /// Number of batch windows for confidence intervals (≥ 4).
     pub windows: usize,
     /// Permit total declared open-loop load ≥ 1 (protection experiments
-    /// overload the switch on purpose).
+    /// overload the switch on purpose; steady-state statistics for the
+    /// overloading users are then meaningless, but insulated users
+    /// remain valid).
     pub allow_overload: bool,
-    /// Packet service-time distribution (unit mean).
+    /// Packet service-time distribution (unit mean). The engine tracks
+    /// remaining work explicitly, so any distribution is exact under
+    /// preemptive resume; `Exponential` reproduces the paper's M/M/1.
     pub service: ServiceDist,
     /// ECN marking threshold: a departing packet's ACK is marked when
     /// the queue (after the departure) is at or above this many packets.
@@ -82,14 +94,17 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// An all-open-loop configuration with the same defaults as the
-    /// legacy `SimConfig::new` (10% warm-up, [`DEFAULT_WINDOWS`] windows,
-    /// M service).
+    /// An all-open-loop configuration with the defaults for
+    /// validation runs: a warm-up of [`DEFAULT_WARMUP_FRACTION`] of the
+    /// horizon, [`DEFAULT_WINDOWS`] windows, M service, no overload and
+    /// no marking. Rates and horizon are wrapped unvalidated and checked
+    /// once, at [`Engine::new`]; zero-rate users are allowed and simply
+    /// never send.
     pub fn open_loop(rates: &[f64], horizon: f64, seed: u64) -> Self {
         EngineConfig {
             sources: rates.iter().map(|&r| SourceSpec::open(r)).collect(),
             horizon: SimTime::raw(horizon),
-            warmup: SimTime::raw(horizon * 0.1),
+            warmup: SimTime::raw(horizon * DEFAULT_WARMUP_FRACTION),
             seed,
             windows: DEFAULT_WINDOWS,
             allow_overload: false,
@@ -98,16 +113,8 @@ impl EngineConfig {
         }
     }
 
-    /// Validates every invariant: non-empty source list, finite
-    /// non-negative open-loop rates, well-formed closed-loop specs,
-    /// positive horizon with warm-up before it, ≥ 4 CI windows, and
-    /// declared open-loop load < 1 unless overload is allowed
-    /// (closed-loop sources self-regulate and are exempt from the
-    /// saturation check).
-    ///
-    /// # Errors
-    /// The specific [`DesError`] for the first violated invariant.
-    pub fn validate(&self) -> Result<()> {
+    /// The one validation of a configuration, run by [`Engine::new`].
+    fn validate(&self) -> Result<()> {
         if self.sources.is_empty() {
             return Err(DesError::EmptySystem);
         }
@@ -210,11 +217,43 @@ impl Context<'_> {
     }
 }
 
+/// The aggregate statistics of a run.
+#[derive(Debug, Clone)]
+pub struct SimResult {
+    /// Per-user time-averaged number of packets in the system (the
+    /// paper's `c_i`).
+    pub mean_queue: Vec<f64>,
+    /// 95% confidence intervals on `mean_queue` (batch means).
+    pub queue_ci: Vec<MeanCi>,
+    /// Per-user mean packet sojourn time.
+    pub mean_delay: Vec<f64>,
+    /// Per-user completed-packet throughput over the measurement window.
+    pub throughput: Vec<f64>,
+    /// Per-user completed packet counts (measurement window).
+    pub completed: Vec<u64>,
+    /// Total time-averaged queue (should match `g(Σ r)` in steady state).
+    pub total_mean_queue: f64,
+    /// Number of events processed.
+    pub events: u64,
+    /// Length of the measurement window.
+    pub measured_time: SimTime,
+    /// Per-user delay percentiles `(p50, p95, p99)` estimated from a
+    /// 4096-sample reservoir per user (`(0, 0, 0)` for users with no
+    /// completed packets).
+    pub delay_percentiles: Vec<(f64, f64, f64)>,
+    /// Time-weighted distribution of the TOTAL number in system:
+    /// `total_queue_dist[k]` is the fraction of (measured) time exactly
+    /// `k` packets were present, truncated at a fixed cap (the tail mass
+    /// is folded into the last bin). For M/M/1 this is geometric,
+    /// `(1-rho) rho^k` — validated in `tests/closed_forms.rs`.
+    pub total_queue_dist: Vec<f64>,
+}
+
 /// What a run produces: the aggregate statistics, per-flow records, and
 /// the run's peak backlog and calendar depth.
 #[derive(Debug, Clone)]
 pub struct EngineReport {
-    /// The aggregate statistics (same shape as the legacy engine's).
+    /// The aggregate statistics.
     pub result: SimResult,
     /// One record per source, in user order (window/ACK/mark fields are
     /// only populated for closed-loop flows).
@@ -227,16 +266,31 @@ pub struct EngineReport {
 }
 
 /// The event-calendar engine.
+///
+/// ```
+/// use greednet_des::{Engine, EngineConfig, Fifo};
+///
+/// // One M/M/1 source at load 0.5: mean queue ~ 1, mean delay ~ 2.
+/// let engine = Engine::new(EngineConfig::open_loop(&[0.5], 50_000.0, 42)).unwrap();
+/// let result = engine.run(&mut Fifo::default()).unwrap().result;
+/// assert!((result.mean_queue[0] - 1.0).abs() < 0.15);
+/// assert!((result.mean_delay[0] - 2.0).abs() < 0.3);
+/// ```
 #[derive(Debug)]
 pub struct Engine {
     config: EngineConfig,
 }
 
 impl Engine {
-    /// Creates an engine after validating the configuration.
+    /// Creates an engine after validating the configuration: a
+    /// non-empty source list, finite non-negative open-loop rates,
+    /// well-formed closed-loop specs, a positive horizon with the
+    /// warm-up before it, ≥ 4 CI windows, and declared open-loop load
+    /// < 1 unless overload is allowed (closed-loop sources self-regulate
+    /// and are exempt from the saturation check).
     ///
     /// # Errors
-    /// See [`EngineConfig::validate`].
+    /// The specific [`DesError`] for the first violated invariant.
     pub fn new(config: EngineConfig) -> Result<Self> {
         config.validate()?;
         Ok(Engine { config })
@@ -260,7 +314,14 @@ impl Engine {
     /// ECN-mark and calendar schedule/fire events to `probe`.
     ///
     /// Observation is purely passive: the returned [`EngineReport`] is
-    /// bitwise identical for every probe, including [`NoopProbe`].
+    /// bitwise identical for every probe, including [`NoopProbe`]
+    /// (property-tested in `tests/telemetry.rs` at the workspace root).
+    /// Service starts and preemptions are derived from share
+    /// transitions: a packet whose share becomes positive emits
+    /// [`ServiceStart`](PacketEventKind::ServiceStart) (a resume after
+    /// preemption emits a fresh one), and a packet whose share drops to
+    /// zero while it remains in the system emits
+    /// [`Preemption`](PacketEventKind::Preemption).
     ///
     /// # Errors
     /// Returns configuration errors; the run itself is infallible.
@@ -832,6 +893,36 @@ mod tests {
             Engine::new(EngineConfig::open_loop(&[0.6, 0.6], 100.0, 0)),
             Err(DesError::Saturated { .. })
         ));
+        let mut over = EngineConfig::open_loop(&[0.6, 0.6], 100.0, 0);
+        over.allow_overload = true;
+        assert!(Engine::new(over).is_ok());
+        for horizon in [0.0, -1.0] {
+            assert!(matches!(
+                Engine::new(EngineConfig::open_loop(&[0.2], horizon, 0)),
+                Err(DesError::InvalidHorizon { .. })
+            ));
+        }
+        for warmup in [100.0, 200.0] {
+            let mut late = EngineConfig::open_loop(&[0.2], 100.0, 0);
+            late.warmup = SimTime::raw(warmup);
+            assert!(matches!(
+                Engine::new(late),
+                Err(DesError::InvalidHorizon { .. })
+            ));
+        }
+        let mut few = EngineConfig::open_loop(&[0.2], 100.0, 0);
+        few.windows = 2;
+        assert!(matches!(
+            Engine::new(few),
+            Err(DesError::InvalidWindows { windows: 2 })
+        ));
+        // The default warm-up is 10% of the horizon.
+        let mut custom = EngineConfig::open_loop(&[0.2, 0.3], 50_000.0, 9);
+        assert_eq!(custom.warmup, SimTime::raw(5_000.0));
+        custom.windows = 16;
+        custom.service = ServiceDist::Erlang(2);
+        let engine = Engine::new(custom).unwrap();
+        assert_eq!((engine.config().seed, engine.config().windows), (9, 16));
         let mut bad = closed_cfg(1, Some(4), 100.0);
         if let SourceSpec::ClosedLoop(spec) = &mut bad.sources[0] {
             spec.initial_window = 0.0;

@@ -153,8 +153,8 @@ pub enum SourceSpec {
 }
 
 impl SourceSpec {
-    /// An open-loop source from an unvalidated `f64` rate (validated at
-    /// engine-config build time, like the legacy `SimConfig` rates).
+    /// An open-loop source from an unvalidated `f64` rate (validated
+    /// once, by [`Engine::new`](crate::Engine::new)).
     #[must_use]
     pub fn open(rate: f64) -> Self {
         SourceSpec::OpenLoop {

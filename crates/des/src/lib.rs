@@ -39,16 +39,17 @@
 //! * [`entities`] — [`entities::SourceSpec`] sources (open-loop Poisson
 //!   or closed-loop AIMD), the bottleneck, and the typed
 //!   [`entities::Cmd`]s they exchange through the calendar.
-//! * [`engine`] — the [`engine::Engine`] event loop: pops commands,
-//!   dispatches them to entities, drains work between events from the
-//!   served packet (or at the QDisc's shares), and integrates
-//!   statistics. Bottleneck completions are *derived* events recomputed
-//!   from the served packet or the shares after every state change, so
-//!   share-shuffling disciplines never leave stale entries on the
-//!   calendar; the [`EngineReport`] carries the run's peak backlog and
-//!   calendar depth.
-//! * [`sim`] — the classic open-loop facade ([`Simulator`] /
-//!   [`SimConfig`]), bitwise-compatible with the pre-calendar engine.
+//! * [`engine`] — the [`Engine`] event loop, the one simulator API:
+//!   an [`EngineConfig`] (open-loop rates via
+//!   [`EngineConfig::open_loop`], or any mix of sources) validated once
+//!   by [`Engine::new`]. The loop pops commands, dispatches them to
+//!   entities, drains work between events from the served packet (or
+//!   at the QDisc's shares), and integrates statistics into a
+//!   [`SimResult`]. Bottleneck completions are *derived* events
+//!   recomputed from the served packet or the shares after every state
+//!   change, so share-shuffling disciplines never leave stale entries on
+//!   the calendar; the [`EngineReport`] carries the result, per-flow
+//!   records, and the run's peak backlog and calendar depth.
 //!
 //! Packet sizes are i.i.d. unit-mean (`Exp(1)` by default), open-loop
 //! arrivals are Poisson, so every discipline sees the same M/M/1
@@ -62,7 +63,6 @@
 #![warn(clippy::all)]
 
 pub mod calendar;
-pub mod disciplines;
 pub mod engine;
 pub mod entities;
 pub mod error;
@@ -70,10 +70,11 @@ pub mod qdisc;
 pub mod rng;
 pub mod scenarios;
 pub mod service;
-pub mod sim;
 pub mod units;
 
-pub use engine::{Engine, EngineConfig, EngineReport, DEFAULT_WINDOWS};
+pub use engine::{
+    Engine, EngineConfig, EngineReport, SimResult, DEFAULT_WARMUP_FRACTION, DEFAULT_WINDOWS,
+};
 pub use entities::{ClosedLoopSpec, Cmd, FlowRecord, SourceSpec};
 pub use error::DesError;
 pub use qdisc::{
@@ -81,10 +82,9 @@ pub use qdisc::{
     QDisc, Service, StartTimeFairQueueing,
 };
 pub use service::ServiceDist;
-pub use sim::{SimConfig, SimConfigBuilder, SimResult, Simulator};
 pub use units::{Rate, SimTime, Work};
 
-// Instrumentation surface for `Simulator::run_probed`, re-exported so
+// Instrumentation surface for `Engine::run_probed`, re-exported so
 // simulation callers don't need a direct greednet-telemetry dependency.
 pub use greednet_telemetry::{
     CalendarEvent, CalendarEventKind, MetricsProbe, NoopProbe, PacketEvent, PacketEventKind, Probe,

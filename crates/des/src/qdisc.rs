@@ -296,8 +296,8 @@ impl PreemptivePriority {
         }
         let mut order: Vec<usize> = (0..rates.len()).collect();
         // Total comparator (GN07): identical to `partial_cmp` on the
-        // finite rates SimConfig validates; NaN would sort last instead of
-        // silently breaking the priority ranking.
+        // finite rates `Engine::new` validates; NaN would sort last
+        // instead of silently breaking the priority ranking.
         order.sort_by(|&a, &b| rates[a].total_cmp(&rates[b]));
         let mut class = vec![0usize; rates.len()];
         for (rank, &u) in order.iter().enumerate() {
@@ -709,5 +709,20 @@ mod tests {
         assert!(PreemptivePriority::by_ascending_rate(&[]).is_err());
         assert!(FsPriorityTable::new(&[], 0).is_err());
         assert!(StartTimeFairQueueing::new(0).is_err());
+    }
+
+    #[test]
+    fn deprecated_discipline_alias_is_gone() {
+        // The alias completed its deprecation cycle; its absence is the
+        // contract now. Pin it at the source level so a compat re-export
+        // cannot quietly reappear. The needle is assembled at runtime so
+        // this test's own source (included below) never matches it.
+        let needle = format!("QDisc as {}", "Discipline");
+        for src in [include_str!("lib.rs"), include_str!("qdisc.rs")] {
+            assert!(
+                !src.contains(&needle),
+                "deprecated `Discipline` alias re-introduced"
+            );
+        }
     }
 }

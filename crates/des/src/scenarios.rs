@@ -17,15 +17,12 @@
 //!   you"), and lets the FIFO-vs-FQ comparison include the feedback
 //!   loop's behavior, not just the switch's.
 
-use crate::engine::{Engine, EngineConfig, EngineReport, DEFAULT_WINDOWS};
+use crate::engine::{Engine, EngineConfig, EngineReport, SimResult};
 use crate::entities::{ClosedLoopSpec, SourceSpec};
 use crate::qdisc::{
     Fifo, FsPriorityTable, LifoPreemptive, PreemptivePriority, ProcessorSharing, QDisc,
     StartTimeFairQueueing,
 };
-use crate::service::ServiceDist;
-use crate::sim::{SimConfig, SimResult, Simulator};
-use crate::units::SimTime;
 use crate::Result;
 
 /// A buildable discipline selector, convenient for tables and sweeps.
@@ -154,14 +151,14 @@ impl Scenario {
     /// Runs the scenario under `kind` for `horizon` time units.
     ///
     /// # Errors
-    /// Propagates simulator configuration errors.
+    /// Propagates engine configuration errors.
     pub fn run(&self, kind: DisciplineKind, horizon: f64, seed: u64) -> Result<ScenarioResult> {
         let rates = self.rates();
-        let mut cfg = SimConfig::new(rates.clone(), horizon, seed);
+        let mut cfg = EngineConfig::open_loop(&rates, horizon, seed);
         cfg.allow_overload = true; // blaster scenarios overload on purpose
-        let sim = Simulator::new(cfg)?;
+        let engine = Engine::new(cfg)?;
         let mut discipline = kind.build(&rates, seed ^ 0xD15C)?;
-        let result = sim.run(discipline.as_mut())?;
+        let result = engine.run(discipline.as_mut())?.result;
         Ok(ScenarioResult {
             scenario: self.clone(),
             kind,
@@ -303,13 +300,9 @@ impl ClosedScenario {
         let rates = self.rates();
         let cfg = EngineConfig {
             sources: self.sources.iter().map(|(_, s)| s.clone()).collect(),
-            horizon: SimTime::raw(horizon),
-            warmup: SimTime::raw(horizon * 0.1),
-            seed,
-            windows: DEFAULT_WINDOWS,
             allow_overload: true,
-            service: ServiceDist::Exponential,
             marking_threshold: self.marking_threshold,
+            ..EngineConfig::open_loop(&[], horizon, seed)
         };
         let engine = Engine::new(cfg)?;
         let mut discipline = kind.build(&rates, seed ^ 0xD15C)?;

@@ -7,7 +7,7 @@
 //! configuration. This test pins that promise mechanically: a faithful
 //! copy of the old engine's loop lives below (`reference_run`), and every
 //! numeric field of its output is compared bit-for-bit against
-//! `Simulator::run` across seeds 0..8, all six disciplines, and an
+//! `Engine::run` across seeds 0..8, all six disciplines, and an
 //! overloaded Fair-Share protection case.
 //!
 //! Both implementations share the same RNG, discipline, and statistics
@@ -17,14 +17,14 @@
 use greednet_des::qdisc::QDisc;
 use greednet_des::rng::ExpStream;
 use greednet_des::scenarios::DisciplineKind;
-use greednet_des::{ActivePacket, ServiceDist, SimConfig, SimResult, SimTime, Simulator, Work};
+use greednet_des::{ActivePacket, Engine, EngineConfig, ServiceDist, SimResult, SimTime, Work};
 use greednet_numerics::conv;
 use greednet_numerics::stats::{batch_means_ci, MeanCi, Reservoir, Welford};
 
 /// The pre-calendar engine, ported op-for-op from the old
 /// `Simulator::run_probed` (probe sites dropped — they never touched
 /// simulation state).
-fn reference_run(cfg: &SimConfig, discipline: &mut dyn QDisc) -> SimResult {
+fn reference_run(cfg: &EngineConfig, discipline: &mut dyn QDisc) -> SimResult {
     let rates = cfg.rate_values();
     let horizon = cfg.horizon.get();
     let warmup = cfg.warmup.get();
@@ -281,12 +281,15 @@ fn assert_bitwise_eq(a: &SimResult, b: &SimResult, what: &str) {
     }
 }
 
-fn compare(cfg: &SimConfig, kind: DisciplineKind, what: &str) {
+fn compare(cfg: &EngineConfig, kind: DisciplineKind, what: &str) {
     let rates = cfg.rate_values();
     let mut d_new = kind.build(&rates, cfg.seed ^ 0xE0).expect("discipline");
     let mut d_ref = kind.build(&rates, cfg.seed ^ 0xE0).expect("discipline");
-    let sim = Simulator::new(cfg.clone()).expect("valid config");
-    let new = sim.run(d_new.as_mut()).expect("calendar engine runs");
+    let engine = Engine::new(cfg.clone()).expect("valid config");
+    let new = engine
+        .run(d_new.as_mut())
+        .expect("calendar engine runs")
+        .result;
     let reference = reference_run(cfg, d_ref.as_mut());
     assert_bitwise_eq(&new, &reference, what);
 }
@@ -297,7 +300,7 @@ fn calendar_engine_is_bitwise_equivalent_for_all_disciplines_and_seeds() {
     let rates = vec![0.08, 0.22, 0.35];
     for kind in DisciplineKind::all() {
         for seed in 0..9u64 {
-            let cfg = SimConfig::new(rates.clone(), 3_000.0, seed);
+            let cfg = EngineConfig::open_loop(&rates, 3_000.0, seed);
             compare(&cfg, kind, &format!("{} seed {seed}", kind.label()));
         }
     }
@@ -308,7 +311,7 @@ fn calendar_engine_is_bitwise_equivalent_under_overload() {
     // The T1-style protection case: a blaster past capacity, Fair Share
     // table, overload allowed. Exercises the unbounded-queue path.
     for seed in 0..4u64 {
-        let mut cfg = SimConfig::new(vec![0.1, 1.5], 2_000.0, seed);
+        let mut cfg = EngineConfig::open_loop(&[0.1, 1.5], 2_000.0, seed);
         cfg.allow_overload = true;
         compare(
             &cfg,
@@ -326,7 +329,7 @@ fn calendar_engine_is_bitwise_equivalent_across_service_distributions() {
         (ServiceDist::Erlang(3), "E3"),
         (ServiceDist::Hyperexponential { cs2: 4.0 }, "H2"),
     ] {
-        let mut cfg = SimConfig::new(vec![0.2, 0.3], 2_500.0, 42);
+        let mut cfg = EngineConfig::open_loop(&[0.2, 0.3], 2_500.0, 42);
         cfg.service = service;
         compare(&cfg, DisciplineKind::Sfq, &format!("service {name}"));
     }
@@ -336,6 +339,6 @@ fn calendar_engine_is_bitwise_equivalent_across_service_distributions() {
 fn zero_rate_users_stay_equivalent() {
     // Silent users exercise the "no initial Fire scheduled" path vs the
     // old engine's infinite next-arrival sentinel.
-    let cfg = SimConfig::new(vec![0.0, 0.4, 0.0], 2_000.0, 7);
+    let cfg = EngineConfig::open_loop(&[0.0, 0.4, 0.0], 2_000.0, 7);
     compare(&cfg, DisciplineKind::Fifo, "zero-rate users");
 }

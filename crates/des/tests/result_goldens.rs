@@ -18,7 +18,7 @@
 //! deliberate change of simulation semantics, and say why.
 
 use greednet_des::scenarios::{DisciplineKind, Scenario};
-use greednet_des::{Engine, EngineConfig, ServiceDist, SimConfig, SimResult, SimTime, Simulator};
+use greednet_des::{Engine, EngineConfig, ServiceDist, SimResult, SimTime};
 
 /// FNV-1a over the little-endian bytes of a `u64` stream.
 fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
@@ -54,12 +54,12 @@ fn result_hash(r: &SimResult) -> u64 {
     fnv1a(words)
 }
 
-/// One `engine_equivalence.rs` configuration through `Simulator`.
-fn simulated(cfg: &SimConfig, kind: DisciplineKind) -> u64 {
+/// One `engine_equivalence.rs` configuration through `Engine`.
+fn simulated(cfg: &EngineConfig, kind: DisciplineKind) -> u64 {
     let rates = cfg.rate_values();
     let mut d = kind.build(&rates, cfg.seed ^ 0xE0).expect("discipline");
-    let sim = Simulator::new(cfg.clone()).expect("valid config");
-    result_hash(&sim.run(d.as_mut()).expect("simulation runs"))
+    let engine = Engine::new(cfg.clone()).expect("valid config");
+    result_hash(&engine.run(d.as_mut()).expect("simulation runs").result)
 }
 
 /// Every configuration `engine_equivalence.rs` runs, labelled.
@@ -68,7 +68,7 @@ fn equivalence_cases() -> Vec<(String, u64)> {
     let rates = vec![0.08, 0.22, 0.35];
     for kind in DisciplineKind::all() {
         for seed in 0..9u64 {
-            let cfg = SimConfig::new(rates.clone(), 3_000.0, seed);
+            let cfg = EngineConfig::open_loop(&rates, 3_000.0, seed);
             out.push((
                 format!("{} seed {seed}", kind.label()),
                 simulated(&cfg, kind),
@@ -76,7 +76,7 @@ fn equivalence_cases() -> Vec<(String, u64)> {
         }
     }
     for seed in 0..4u64 {
-        let mut cfg = SimConfig::new(vec![0.1, 1.5], 2_000.0, seed);
+        let mut cfg = EngineConfig::open_loop(&[0.1, 1.5], 2_000.0, seed);
         cfg.allow_overload = true;
         out.push((
             format!("overload seed {seed}"),
@@ -88,14 +88,14 @@ fn equivalence_cases() -> Vec<(String, u64)> {
         (ServiceDist::Erlang(3), "E3"),
         (ServiceDist::Hyperexponential { cs2: 4.0 }, "H2"),
     ] {
-        let mut cfg = SimConfig::new(vec![0.2, 0.3], 2_500.0, 42);
+        let mut cfg = EngineConfig::open_loop(&[0.2, 0.3], 2_500.0, 42);
         cfg.service = service;
         out.push((
             format!("service {name}"),
             simulated(&cfg, DisciplineKind::Sfq),
         ));
     }
-    let cfg = SimConfig::new(vec![0.0, 0.4, 0.0], 2_000.0, 7);
+    let cfg = EngineConfig::open_loop(&[0.0, 0.4, 0.0], 2_000.0, 7);
     out.push((
         "zero-rate users".to_string(),
         simulated(&cfg, DisciplineKind::Fifo),

@@ -14,7 +14,7 @@ use crate::Result;
 use greednet_core::utility::BoxedUtility;
 use greednet_des::rng::ExpStream;
 use greednet_des::scenarios::DisciplineKind;
-use greednet_des::{SimConfig, Simulator};
+use greednet_des::{Engine, EngineConfig, SimTime};
 use greednet_queueing::alloc::AllocationFunction;
 
 /// Where users' congestion observations come from.
@@ -85,21 +85,21 @@ impl Environment for SimEnv {
     fn observe(&mut self, rates: &[f64]) -> Vec<f64> {
         // uniform() ∈ [0, 1), so the product stays inside u64 range.
         let seed = greednet_numerics::conv::f64_to_u64(self.seeds.uniform() * f64::from(u32::MAX));
-        let mut cfg = SimConfig::new(rates.to_vec(), self.measure_time, seed);
+        let mut cfg = EngineConfig::open_loop(rates, self.measure_time, seed);
         cfg.allow_overload = true;
-        cfg.warmup = (self.measure_time * 0.2).into();
+        cfg.warmup = SimTime::raw(self.measure_time * 0.2);
         // Infallible for valid rates; fall back to formula-free zeros on
         // misconfiguration (cannot occur for clamped rates).
-        let sim = match Simulator::new(cfg) {
-            Ok(s) => s,
+        let engine = match Engine::new(cfg) {
+            Ok(e) => e,
             Err(_) => return vec![f64::INFINITY; self.n],
         };
         let mut d = match self.kind.build(rates, seed ^ 0xABCD) {
             Ok(d) => d,
             Err(_) => return vec![f64::INFINITY; self.n],
         };
-        match sim.run(d.as_mut()) {
-            Ok(r) => r.mean_queue,
+        match engine.run(d.as_mut()) {
+            Ok(report) => report.result.mean_queue,
             Err(_) => vec![f64::INFINITY; self.n],
         }
     }

@@ -23,7 +23,7 @@ pub struct SourceFile {
     pub ctx: FileContext,
     pub lexed: LexedFile,
     pub parsed: ParsedFile,
-    /// Named struct fields for the type-aware rules (GN13, GN15).
+    /// Named struct fields for the type-aware rule (GN15).
     pub fields: Vec<crate::types::FieldItem>,
 }
 

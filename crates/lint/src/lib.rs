@@ -8,8 +8,8 @@
 //! casts, `unsafe`) is configured in the root `clippy.toml`, the
 //! `[workspace.lints]` table and each library crate root. This crate
 //! machine-checks the rest: invariants that need the workspace's own
-//! vocabulary (hot paths, RNG splits, merged reductions, typed units,
-//! telemetry probes).
+//! vocabulary (hot paths, RNG splits, merged reductions, telemetry
+//! probes).
 //!
 //! The analyzer is **dependency-free**: the build container has no
 //! crates.io access, so it hand-rolls a small Rust lexer
@@ -21,8 +21,7 @@
 //! drives the hot-path rule GN10 ([`hot`]), an expression layer
 //! ([`expr`]) drives the dataflow rules GN11/GN12, and a type layer
 //! ([`types`]) recovers named struct fields and their types for the
-//! type-aware rules ([`typerules`]): unit-escape (GN13) and probe
-//! isolation (GN15).
+//! type-aware rule ([`typerules`]): probe isolation (GN15).
 //!
 //! The per-file pass is sharded across the deterministic pool
 //! (`greednet_runtime::parallel_map_indexed`) with an in-task-order

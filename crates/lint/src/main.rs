@@ -84,7 +84,7 @@ fn main() -> ExitCode {
                      [--changed GIT_REF] [--list-rules]"
                 );
                 println!(
-                    "Enforces the greednet workspace invariants GN08, GN10-GN13 and GN15; see LINTS.md."
+                    "Enforces the greednet workspace invariants GN08, GN10-GN12 and GN15; see LINTS.md."
                 );
                 return ExitCode::SUCCESS;
             }

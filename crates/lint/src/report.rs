@@ -262,10 +262,10 @@ mod tests {
             findings: vec![
                 finding("GN08", "crates/des/src/x.rs", 42, None),
                 finding(
-                    "GN13",
-                    "crates/des/src/calendar.rs",
+                    "GN15",
+                    "crates/serve/src/cache.rs",
                     75,
-                    Some("audited unit escape"),
+                    Some("audited probe read-back"),
                 ),
             ],
         };
@@ -280,7 +280,7 @@ mod tests {
         }
         assert!(s.contains("\"ruleId\": \"GN08\""));
         assert!(s.contains("\"startLine\": 42"));
-        assert!(s.contains("\"justification\": \"audited unit escape\""));
+        assert!(s.contains("\"justification\": \"audited probe read-back\""));
         // Exactly one result carries a suppression block.
         assert_eq!(s.matches("\"suppressions\"").count(), 1);
     }
@@ -296,20 +296,20 @@ mod tests {
             findings: vec![],
         };
         let s = a.sarif();
-        let gn13 = crate::rules::RULES
+        let gn15 = crate::rules::RULES
             .iter()
-            .find(|r| r.id == "GN13")
-            .expect("GN13 registered");
+            .find(|r| r.id == "GN15")
+            .expect("GN15 registered");
         let expected = format!(
-            "            {{\"id\": \"GN13\", \"shortDescription\": {{\"text\": \
-             \"no raw-f64 arithmetic on values unwrapped from typed units\"}}, \
+            "            {{\"id\": \"GN15\", \"shortDescription\": {{\"text\": \
+             \"telemetry probes are write-only from deterministic code\"}}, \
              \"fullDescription\": {{\"text\": {}}}, \"helpUri\": \
-             \"LINTS.md#gn13--no-raw-f64-arithmetic-on-values-unwrapped-from-typed-units\"}}",
-            json_str(gn13.full)
+             \"LINTS.md#gn15--telemetry-probes-are-write-only-from-deterministic-code\"}}",
+            json_str(gn15.full)
         );
         assert!(
             s.contains(&expected),
-            "golden GN13 rule object missing in:\n{s}"
+            "golden GN15 rule object missing in:\n{s}"
         );
         // Every rule carries a helpUri into LINTS.md.
         assert_eq!(

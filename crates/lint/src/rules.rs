@@ -13,7 +13,6 @@
 //! | GN10 | `gn:hot` fns never reach allocation ([`crate::hot`]) |
 //! | GN11 | RNG splits consumed on all paths ([`crate::expr`]) |
 //! | GN12 | merged-collection float reductions via `reduce` ([`crate::expr`]) |
-//! | GN13 | no raw-f64 arithmetic on unwrapped typed units ([`crate::typerules`]) |
 //! | GN15 | telemetry probes write-only from deterministic code ([`crate::typerules`]) |
 //!
 //! Rules apply to *library* code: integration tests, binaries, and
@@ -123,16 +122,6 @@ pub const RULES: &[RuleMeta] = &[
                pairwise greednet_runtime::reduce so the sum is identical at any \
                thread count.",
         anchor: "gn12--float-reductions-over-parallel-merged-collections",
-    },
-    RuleMeta {
-        id: "GN13",
-        summary: "no raw-f64 arithmetic on values unwrapped from typed units",
-        full: "In des/largen library code outside units.rs, a value unwrapped \
-               from SimTime/Rate/Work via .get() or .0 must not feed arithmetic \
-               (directly or through let rebindings): compute in the typed unit \
-               and unwrap at the boundary, or add the audited file to the \
-               UNIT_ESCAPE_ALLOW table.",
-        anchor: "gn13--no-raw-f64-arithmetic-on-values-unwrapped-from-typed-units",
     },
     RuleMeta {
         id: "GN15",

@@ -1,18 +1,9 @@
-//! Type-aware rules built on [`crate::types`]: GN13 (unit-escape) and
-//! GN15 (probe isolation).
+//! The type-aware rule built on [`crate::types`]: GN15 (probe
+//! isolation).
 //!
-//! Both are *workspace passes* like GN10–GN12: they run over the full
-//! [`SourceFile`] set because their context crosses files — GN13 needs
-//! every unit-typed field name in the workspace, and GN15 needs the
-//! telemetry-typed field inventory.
-//!
-//! GN13 carries a file-level allow table ([`UNIT_ESCAPE_ALLOW`]) for the
-//! handful of des hot paths that deliberately compute on unwrapped
-//! floats (the calendar/engine arithmetic audited in PR 7). Findings in
-//! a listed file are *dropped*, not suppressed — the per-site volume
-//! would blow the workspace suppression budget — and a listed file that
-//! produces no findings is itself a finding, so the table cannot go
-//! stale.
+//! It is a *workspace pass* like GN10–GN12: it runs over the full
+//! [`SourceFile`] set because its context crosses files — it needs the
+//! telemetry-typed field inventory of the whole workspace.
 
 use crate::expr::{chain_root, collect_lets, match_delim, suppression_for};
 use crate::graph::SourceFile;
@@ -20,35 +11,6 @@ use crate::lexer::{Token, TokenKind};
 use crate::parse::FnItem;
 use crate::rules::{FileKind, Finding, DETERMINISTIC_CRATES};
 use std::collections::{BTreeMap, BTreeSet};
-
-/// Crates whose library code must keep values inside the typed units.
-pub const UNIT_CRATES: &[&str] = &["des", "largen"];
-
-/// The typed-unit newtypes from `crates/des/src/units.rs`.
-pub const UNIT_TYPES: &[&str] = &["SimTime", "Rate", "Work"];
-
-/// Files allowed to compute on unwrapped unit floats, with the audit
-/// reason. GN13 findings in these files are dropped wholesale; a row
-/// whose file yields no findings is reported as stale (at line 0 of this
-/// module, the table's home).
-pub const UNIT_ESCAPE_ALLOW: &[(&str, &str)] = &[
-    (
-        "crates/des/src/engine.rs",
-        "event-loop hot path: delay/backlog arithmetic on unwrapped floats, re-wrapped at the API boundary (PR 7 audit)",
-    ),
-    (
-        "crates/des/src/entities.rs",
-        "per-packet service-completion arithmetic; units re-enter via SimTime::checked on the calendar push",
-    ),
-    (
-        "crates/des/src/qdisc.rs",
-        "backlog accounting sums Work floats inside the discipline inner loop",
-    ),
-    (
-        "crates/des/src/sim.rs",
-        "warmup window is a fraction of the horizon; single audited site",
-    ),
-];
 
 /// Telemetry probe types from `greednet-telemetry` (re-exported by
 /// `greednet-runtime`): values read back from these must never feed
@@ -196,205 +158,6 @@ fn typed_params(tokens: &[Token], item: &FnItem, type_names: &[&str]) -> BTreeMa
         i += 1;
     }
     out
-}
-
-/// GN13 — no raw-f64 arithmetic on values unwrapped from typed units.
-///
-/// In `des`/`largen` library code outside `units.rs`, a value unwrapped
-/// via `.get()` / `.0` from a `SimTime`/`Rate`/`Work` field, parameter,
-/// or binding must not be an arithmetic operand — compute in the typed
-/// unit and unwrap at the boundary. Dataflow follows `let` rebindings:
-/// a binding initialized from an unwrap is flagged where the arithmetic
-/// happens, with the unwrap line in the message.
-pub fn gn13(files: &[SourceFile]) -> Vec<Finding> {
-    let unit_fields = typed_fields(files, UNIT_TYPES);
-    let in_set: BTreeSet<&str> = files.iter().map(|sf| sf.ctx.rel_path.as_str()).collect();
-    let mut table_used: Vec<bool> = vec![false; UNIT_ESCAPE_ALLOW.len()];
-    let mut findings = Vec::new();
-    for sf in files {
-        if sf.ctx.kind != FileKind::Lib
-            || !UNIT_CRATES.contains(&sf.ctx.crate_name.as_str())
-            || sf.ctx.rel_path.ends_with("units.rs")
-        {
-            continue;
-        }
-        let allow_row = UNIT_ESCAPE_ALLOW
-            .iter()
-            .position(|(f, _)| *f == sf.ctx.rel_path);
-        let mut file_findings = Vec::new();
-        for item in &sf.parsed.fns {
-            if item.in_test {
-                continue;
-            }
-            check_fn_unit_escape(sf, item, &unit_fields, &mut file_findings);
-        }
-        if let Some(row) = allow_row {
-            if !file_findings.is_empty() {
-                table_used[row] = true;
-            }
-            // Findings in an allow-table file are dropped wholesale; the
-            // audit reason lives on the table row.
-            continue;
-        }
-        findings.extend(file_findings);
-    }
-    for (row, (file, _)) in UNIT_ESCAPE_ALLOW.iter().enumerate() {
-        if in_set.contains(file) && !table_used[row] {
-            findings.push(Finding {
-                rule: "GN13",
-                file: "crates/lint/src/typerules.rs".into(),
-                line: 0,
-                message: format!(
-                    "UNIT_ESCAPE_ALLOW entry `{file}` produced no unit-escape findings; \
-                     remove the stale row"
-                ),
-                suppressed: None,
-            });
-        }
-    }
-    findings
-}
-
-/// Scans one fn for unit escapes feeding arithmetic.
-fn check_fn_unit_escape(
-    sf: &SourceFile,
-    item: &FnItem,
-    unit_fields: &BTreeMap<String, String>,
-    findings: &mut Vec<Finding>,
-) {
-    let tokens = &sf.lexed.tokens;
-    // Names known to hold a *wrapped* unit value in this fn: unit-typed
-    // params plus lets whose initializer mentions a unit constructor.
-    let mut unit_vals = typed_params(tokens, item, UNIT_TYPES);
-    let lets = collect_lets(tokens, item.body);
-    for lb in &lets {
-        let has_ctor = tokens[lb.init.0..lb.init.1]
-            .iter()
-            .filter_map(Token::ident)
-            .any(|id| UNIT_TYPES.contains(&id));
-        let unwraps = tokens[lb.init.0..lb.init.1]
-            .iter()
-            .any(|t| t.ident() == Some("get"));
-        if has_ctor && !unwraps {
-            for n in &lb.names {
-                let ty = tokens[lb.init.0..lb.init.1]
-                    .iter()
-                    .filter_map(Token::ident)
-                    .find(|id| UNIT_TYPES.contains(id))
-                    .unwrap_or("SimTime");
-                unit_vals.insert(n.clone(), ty.to_string());
-            }
-        }
-    }
-    // Raw bindings: name -> (unit type, how, unwrap line).
-    let mut raw: BTreeMap<String, (String, &'static str, u32)> = BTreeMap::new();
-    let mut seen: BTreeSet<(u32, String)> = BTreeSet::new();
-    let push = |findings: &mut Vec<Finding>,
-                seen: &mut BTreeSet<(u32, String)>,
-                line: u32,
-                message: String| {
-        if seen.insert((line, message.clone())) {
-            findings.push(Finding {
-                rule: "GN13",
-                file: sf.ctx.rel_path.clone(),
-                line,
-                message,
-                suppressed: suppression_for(&sf.lexed, "GN13", line),
-            });
-        }
-    };
-    for i in item.body.0..item.body.1 {
-        // Unwrap sites: `recv.get()` and `recv.0`.
-        let site = unwrap_site(tokens, i, unit_fields, &unit_vals);
-        if let Some((start, end, unit, how, recv)) = site {
-            if arith_before(tokens, start) || arith_after(tokens, end) {
-                let line = tokens[i].line;
-                push(
-                    findings,
-                    &mut seen,
-                    line,
-                    format!(
-                        "raw-f64 arithmetic on `{recv}` unwrapped from `{unit}` via `{how}`; \
-                         compute in the typed unit or add the file to UNIT_ESCAPE_ALLOW"
-                    ),
-                );
-            } else if let Some(lb) = lets.iter().find(|lb| lb.init.0 <= i && i < lb.init.1) {
-                for n in &lb.names {
-                    raw.insert(n.clone(), (unit.clone(), how, tokens[i].line));
-                }
-            }
-            continue;
-        }
-        // Rebinding propagation: `let b = a;` where `a` is raw.
-        if tokens[i].ident() == Some("let") {
-            if let Some(lb) = lets.iter().find(|lb| lb.let_idx == i) {
-                if let Some(origin) = tokens[lb.init.0]
-                    .ident()
-                    .and_then(|id| raw.get(id).cloned())
-                {
-                    for n in &lb.names {
-                        raw.entry(n.clone()).or_insert_with(|| origin.clone());
-                    }
-                }
-            }
-        }
-    }
-    // Flag arithmetic uses of raw bindings.
-    for i in item.body.0..item.body.1 {
-        let Some(name) = tokens[i].ident() else {
-            continue;
-        };
-        let Some((unit, how, origin)) = raw.get(name) else {
-            continue;
-        };
-        // Skip field accesses / paths named like the binding.
-        if i > 0 && (tokens[i - 1].is_punct('.') || tokens[i - 1].is_punct(':')) {
-            continue;
-        }
-        if arith_before(tokens, i) || arith_after(tokens, i) {
-            let line = tokens[i].line;
-            push(
-                findings,
-                &mut seen,
-                line,
-                format!(
-                    "raw-f64 arithmetic on `{name}`, unwrapped from `{unit}` via `{how}` \
-                     at line {origin}; compute in the typed unit or add the file to \
-                     UNIT_ESCAPE_ALLOW"
-                ),
-            );
-        }
-    }
-}
-
-/// If `i` is the unwrap token of `recv.get()` / `recv.0` on a unit-typed
-/// receiver, returns `(start, end, unit, how, recv)` where `start` is
-/// the chain root and `end` the last token of the unwrap expression.
-fn unwrap_site(
-    tokens: &[Token],
-    i: usize,
-    unit_fields: &BTreeMap<String, String>,
-    unit_vals: &BTreeMap<String, String>,
-) -> Option<(usize, usize, String, &'static str, String)> {
-    if i < 2 || !tokens[i - 1].is_punct('.') {
-        return None;
-    }
-    let recv = tokens[i - 2].ident()?;
-    let unit = unit_fields.get(recv).or_else(|| unit_vals.get(recv))?;
-    let (end, how) = match &tokens[i].kind {
-        TokenKind::Ident(id) if id == "get" => {
-            if !(tokens.get(i + 1).is_some_and(|t| t.is_punct('('))
-                && tokens.get(i + 2).is_some_and(|t| t.is_punct(')')))
-            {
-                return None;
-            }
-            (i + 2, ".get()")
-        }
-        TokenKind::Number => (i, ".0"),
-        _ => return None,
-    };
-    let start = chain_root(tokens, i - 1).unwrap_or(i - 2);
-    Some((start, end, unit.clone(), how, recv.to_string()))
 }
 
 /// GN15 — telemetry probes are write-only from deterministic code.
@@ -554,62 +317,6 @@ mod tests {
             },
             src,
         )
-    }
-
-    #[test]
-    fn gn13_flags_direct_arithmetic_on_get() {
-        let src = "pub struct P { pub arrival: SimTime }\n\
-                   pub fn f(p: &P, now: f64) -> f64 {\n\
-                   \x20   now - p.arrival.get()\n\
-                   }\n";
-        let files = vec![sf("des", "crates/des/src/x.rs", src)];
-        let f = gn13(&files);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].line, 3);
-        assert!(f[0].message.contains("SimTime"), "{}", f[0].message);
-    }
-
-    #[test]
-    fn gn13_follows_let_rebindings() {
-        let src = "pub struct P { pub size: Work }\n\
-                   pub fn f(p: &P) -> f64 {\n\
-                   \x20   let raw = p.size.get();\n\
-                   \x20   let again = raw;\n\
-                   \x20   again * 2.0\n\
-                   }\n";
-        let files = vec![sf("des", "crates/des/src/x.rs", src)];
-        let f = gn13(&files);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].line, 5);
-        assert!(f[0].message.contains("line 3"), "{}", f[0].message);
-    }
-
-    #[test]
-    fn gn13_comparisons_and_plain_reads_are_clean() {
-        let src = "pub struct P { pub arrival: SimTime }\n\
-                   pub fn f(a: &P, b: &P) -> bool {\n\
-                   \x20   let t = a.arrival.get();\n\
-                   \x20   t.total_cmp(&b.arrival.get()).is_lt()\n\
-                   }\n";
-        let files = vec![sf("des", "crates/des/src/x.rs", src)];
-        assert!(gn13(&files).is_empty());
-    }
-
-    #[test]
-    fn gn13_allow_table_drops_findings_and_stale_rows_fire() {
-        let src = "pub struct P { pub arrival: SimTime }\n\
-                   pub fn f(p: &P, now: f64) -> f64 { now - p.arrival.get() }\n";
-        let files = vec![sf("des", "crates/des/src/engine.rs", src)];
-        assert!(gn13(&files).is_empty(), "allow-table file is dropped");
-        let clean = vec![sf(
-            "des",
-            "crates/des/src/engine.rs",
-            "pub fn g() -> f64 { 1.0 }\n",
-        )];
-        let f = gn13(&clean);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].line, 0);
-        assert!(f[0].message.contains("stale"));
     }
 
     #[test]

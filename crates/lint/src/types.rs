@@ -4,14 +4,11 @@
 //!
 //! The item parser recovers `fn` items; this layer recovers the *data
 //! shape* of a file — each named field with the identifier tokens of its
-//! declared type. It drives the two type-aware rules in
-//! [`crate::typerules`]:
-//!
-//! * **GN13** needs to know which field names are declared with a typed
-//!   unit (`SimTime`/`Rate`/`Work`), so `.get()` on `pkt.arrival` is an
-//!   unwrap while `.get()` on a `Vec` is not;
-//! * **GN15** needs which field names are declared with a telemetry
-//!   probe type (`Counter`, `Log2Histogram`, ...).
+//! declared type. It drives the type-aware rule in [`crate::typerules`]:
+//! **GN15** needs to know which field names are declared with a
+//! telemetry probe type (`Counter`, `Log2Histogram`, ...), so `.count()`
+//! on a probe field is a read-back while `.count()` on an iterator is
+//! not.
 //!
 //! Like everything in this analyzer the grammar subset is deliberate:
 //! named-field structs are parsed in full; tuple and unit structs

@@ -2,7 +2,7 @@
 //! file, classifies its role (lib / test / bin), and runs the rules over
 //! it in two passes — the per-file rule GN08 first, then the
 //! whole-workspace rules (call-graph GN10, expression-dataflow
-//! GN11/GN12, type-aware GN13 and GN15) over the full file set.
+//! GN11/GN12, type-aware GN15) over the full file set.
 //!
 //! Pass 1 (lex + parse + per-file rules, the bulk of the wall time) is
 //! sharded across `greednet_runtime::parallel_map_indexed` when
@@ -121,7 +121,6 @@ pub fn analyze_with(root: &Path, opts: &AnalyzeOptions) -> Result<Analysis, Stri
     findings.extend(hot::gn10(&sources));
     findings.extend(expr::gn11(&sources));
     findings.extend(expr::gn12(&sources));
-    findings.extend(typerules::gn13(&sources));
     findings.extend(typerules::gn15(&sources));
     if let Some(changed) = &opts.changed {
         // Output filter for `--changed`: synthetic anchors (line-0 table

@@ -15,7 +15,7 @@ use std::path::Path;
 fn context_for(rule: &str) -> FileContext {
     let (crate_name, rel_path) = match rule {
         "GN08" => ("telemetry", "crates/telemetry/src/fixture.rs"),
-        "GN10" | "GN11" | "GN13" => ("des", "crates/des/src/fixture.rs"),
+        "GN10" | "GN11" => ("des", "crates/des/src/fixture.rs"),
         "GN12" => ("bench", "crates/bench/src/fixture.rs"),
         "GN15" => ("serve", "crates/serve/src/fixture.rs"),
         other => panic!("no fixture context for {other}"),
@@ -40,20 +40,15 @@ fn fixture_source(kind: &str, rule: &str) -> String {
 fn run_rule(rule: &str, ctx: FileContext, src: &str) -> Vec<Finding> {
     let files = [SourceFile::new(ctx, src)];
     match rule {
-        // GN10 and GN13 also report table rows (HOT_PATHS,
-        // UNIT_ESCAPE_ALLOW) that match nothing in a one-file workspace,
-        // anchored at line 0 in the analyzer source; only code findings
-        // are the subject here.
+        // GN10 also reports HOT_PATHS table rows that match nothing in a
+        // one-file workspace, anchored at line 0 in the analyzer source;
+        // only code findings are the subject here.
         "GN10" => hot::gn10(&files)
             .into_iter()
             .filter(|f| f.line != 0)
             .collect(),
         "GN11" => expr::gn11(&files),
         "GN12" => expr::gn12(&files),
-        "GN13" => typerules::gn13(&files)
-            .into_iter()
-            .filter(|f| f.line != 0)
-            .collect(),
         "GN15" => typerules::gn15(&files),
         _ => check_file(&files[0].ctx, &files[0].lexed),
     }
@@ -90,7 +85,6 @@ fn bad_fixtures_fire_their_rule() {
         ("GN10", 4),
         ("GN11", 5),
         ("GN12", 4),
-        ("GN13", 4),
         ("GN15", 4),
     ];
     for (rule, min_count) in expected_min {
@@ -107,7 +101,7 @@ fn bad_fixtures_fire_their_rule() {
 #[test]
 fn bad_fixture_spans_point_at_the_offending_lines() {
     // Exact file:line spans against the fixture sources.
-    let expected: [(&str, &[u32], &str); 6] = [
+    let expected: [(&str, &[u32], &str); 5] = [
         ("GN08", &[5, 6, 10], ".ok(); and let _ = spans"),
         ("GN10", &[9, 19, 25, 30], "GN10 anchors at the hot fns"),
         (
@@ -119,11 +113,6 @@ fn bad_fixture_spans_point_at_the_offending_lines() {
             "GN12",
             &[7, 13, 20, 25],
             "GN12 anchors at the reduction call sites",
-        ),
-        (
-            "GN13",
-            &[15, 19, 25, 29],
-            "GN13 anchors at the raw-arithmetic sites (direct, .0, rebound, param)",
         ),
         (
             "GN15",
@@ -228,12 +217,6 @@ const MUTATIONS: &[(&str, Origin, &str, &str)] = &[
         Origin::Workspace("crates/bench/src/experiments/e1.rs"),
         "let mean_resid = det_mean(solved.iter().map(|(r, _)| *r));",
         "let mean_resid = solved.iter().map(|(r, _)| *r).sum::<f64>();",
-    ),
-    (
-        "GN13",
-        Origin::Fixture,
-        "(p.arrival.get(), p.size.get())",
-        "(p.arrival.get() * 2.0, p.size.get())",
     ),
     (
         "GN15",

@@ -17,7 +17,7 @@ use greednet_core::utility::{
     BoxedUtility, LinearUtility, LogUtility, PowerUtility, QuadraticCongestionUtility, UtilityExt,
 };
 use greednet_des::scenarios::DisciplineKind;
-use greednet_des::{ServiceDist, SimConfig, Simulator};
+use greednet_des::{Engine, EngineConfig, ServiceDist, SimTime};
 use greednet_largen::{solve_finite, solve_mean_field, ClassSpec, LargenDiscipline, SolveOptions};
 use greednet_queueing::alloc::AllocationFunction;
 use greednet_queueing::fair_share::priority_table;
@@ -330,9 +330,11 @@ pub struct SimulateSpec {
     pub discipline: String,
     /// Simulated horizon.
     pub horizon: f64,
-    /// Warm-up interval (`None` keeps the builder default, horizon/10).
+    /// Warm-up interval (`None` keeps the engine default,
+    /// `horizon * DEFAULT_WARMUP_FRACTION`).
     pub warmup: Option<f64>,
-    /// Batch-means window count (`None` keeps the builder default).
+    /// Batch-means window count (`None` keeps the engine default,
+    /// `DEFAULT_WINDOWS`).
     pub windows: Option<usize>,
     /// RNG seed.
     pub seed: u64,
@@ -394,25 +396,23 @@ impl SimulateSpec {
         let bad = |e: greednet_des::DesError| ServeError::BadRequest(e.to_string());
         let kind = build_kind(&self.discipline)?;
         let service = build_service(&self.service)?;
-        let mut builder = SimConfig::builder(self.rates.clone())
-            .horizon(self.horizon)
-            .seed(self.seed)
-            .service(service)
-            .allow_overload(true);
+        let mut cfg = EngineConfig::open_loop(&self.rates, self.horizon, self.seed);
+        cfg.service = service;
+        cfg.allow_overload = true;
         if let Some(w) = self.warmup {
-            builder = builder.warmup(w);
+            cfg.warmup = SimTime::raw(w);
         }
         if let Some(k) = self.windows {
-            builder = builder.windows(k);
+            cfg.windows = k;
         }
-        let cfg = builder.build().map_err(bad)?;
-        let sim = Simulator::new(cfg).map_err(bad)?;
+        let engine = Engine::new(cfg).map_err(bad)?;
         let mut d = kind.build(&self.rates, self.seed ^ 0xC11).map_err(bad)?;
         let r = match probe {
-            Some(p) => sim.run_probed(d.as_mut(), p),
-            None => sim.run(d.as_mut()),
+            Some(p) => engine.run_probed(d.as_mut(), p),
+            None => engine.run(d.as_mut()),
         }
-        .map_err(bad)?;
+        .map_err(bad)?
+        .result;
         let rows = self
             .rates
             .iter()

@@ -51,7 +51,7 @@ use crate::ops::{
     canonical_alloc_name, canonical_kind_name, canonical_largen_name, canonical_service_json,
     ExpSpec, LargenSpec, NashSpec, ProtectSpec, SimulateSpec, TableSpec, UtilityParam,
 };
-use greednet_des::DEFAULT_WINDOWS;
+use greednet_des::{DEFAULT_WARMUP_FRACTION, DEFAULT_WINDOWS};
 use greednet_numerics::conv::{f64_to_u64, f64_to_usize};
 
 /// Default utility profile, identical to `greednet nash`'s `--users`
@@ -340,10 +340,11 @@ impl Spec for SimulateSpec {
         w.rates("rates", &mut self.rates);
         w.discipline(&mut self.discipline, canonical_kind_name);
         w.f64("horizon", &mut self.horizon, 100_000.0);
-        // The builder derives warmup = horizon/10 when unset, so an
-        // explicit horizon/10 is the same simulation.
+        // The engine's default warm-up is the same fraction of the
+        // horizon, so an omitted warm-up and the explicit default are the
+        // same simulation and share a key.
         let horizon = self.horizon;
-        let warmup = |w: &Option<f64>| Json::Num(w.unwrap_or(horizon * 0.1));
+        let warmup = |w: &Option<f64>| Json::Num(w.unwrap_or(horizon * DEFAULT_WARMUP_FRACTION));
         w.field("warmup", &mut self.warmup, Fields::take_f64, warmup);
         let windows = |k: &Option<usize>| Json::Num(usize_to_num(k.unwrap_or(DEFAULT_WINDOWS)));
         w.field("windows", &mut self.windows, Fields::take_usize, windows);

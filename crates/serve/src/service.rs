@@ -388,6 +388,23 @@ mod tests {
     }
 
     #[test]
+    fn omitted_and_explicit_default_warmup_share_key_and_payload() {
+        // The cache key fills an omitted warm-up with the engine's
+        // default, so spelling the default out keys and computes the
+        // same simulation. Fresh services, so both answers are computed.
+        let horizon = 4321.0;
+        let warmup = horizon * greednet_des::DEFAULT_WARMUP_FRACTION;
+        let base = format!(r#"{{"kind":"simulate","rates":[0.2,0.1],"horizon":{horizon}"#);
+        let fresh = || Service::new(ServeOptions::default());
+        let omitted = run_lines(&fresh(), &format!("{base}}}"));
+        let explicit = run_lines(&fresh(), &format!(r#"{base},"warmup":{warmup}}}"#));
+        // accepted (with the key), progress, result (with the payload).
+        assert_eq!(omitted.len(), 3, "{omitted:?}");
+        assert!(omitted[2].contains(r#""cached":false"#), "{omitted:?}");
+        assert_eq!(omitted, explicit);
+    }
+
+    #[test]
     fn parse_and_request_errors_do_not_kill_the_stream() {
         let service = Service::new(ServeOptions::default());
         let out = run_lines(

@@ -314,7 +314,7 @@ fn fmt_bound(v: f64) -> String {
 /// The standard simulator metric set: per-user counters and delay
 /// histograms plus system-wide occupancy and busy-period histograms.
 ///
-/// Built by a [`MetricsProbe`] during `Simulator::run_probed`; merged
+/// Built by a [`MetricsProbe`] during `Engine::run_probed`; merged
 /// across replications in task order (every field is integer-count /
 /// min-max mergeable, see the module docs).
 #[derive(Debug, Clone, PartialEq)]

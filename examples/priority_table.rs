@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --release --example priority_table [r1 r2 ...]`
 
-use greednet::des::{FsPriorityTable, SimConfig, Simulator};
+use greednet::des::{Engine, EngineConfig, FsPriorityTable};
 use greednet::queueing::fair_share::priority_table;
 use greednet::queueing::AllocationFunction;
 use greednet::queueing::FairShare;
@@ -47,14 +47,9 @@ fn main() {
     // Validate by simulation.
     println!("\nValidating against simulated packets (horizon 200k):");
     let expect = FairShare::new().congestion(&rates);
-    let cfg = SimConfig::builder(rates.clone())
-        .horizon(200_000.0)
-        .seed(7)
-        .build()
-        .expect("config");
-    let sim = Simulator::new(cfg).expect("config");
+    let engine = Engine::new(EngineConfig::open_loop(&rates, 200_000.0, 7)).expect("config");
     let mut d = FsPriorityTable::new(&rates, 99).expect("table");
-    let r = sim.run(&mut d).expect("run");
+    let r = engine.run(&mut d).expect("run").result;
     println!(
         "{:<6}{:>14}{:>14}{:>12}{:>18}",
         "user", "C^FS (closed)", "simulated", "rel.err", "95% CI half-width"

@@ -10,7 +10,7 @@
 //! `cargo test`, not by a corrupted paper-vs-measured table.
 
 use greednet_des::qdisc::{FsPriorityTable, PreemptivePriority, QDisc, StartTimeFairQueueing};
-use greednet_des::sim::{SimConfig, Simulator};
+use greednet_des::{Engine, EngineConfig};
 use greednet_runtime::Replications;
 
 const RATES: [f64; 3] = [0.1, 0.2, 0.35];
@@ -26,10 +26,10 @@ where
     F: Fn(u64) -> D + Sync,
 {
     Replications::new(REPLICATIONS, 0xD15C_0171).run(threads, |_, seed| {
-        let cfg = SimConfig::new(RATES.to_vec(), HORIZON, seed);
-        let sim = Simulator::new(cfg).expect("valid config");
+        let cfg = EngineConfig::open_loop(&RATES, HORIZON, seed);
+        let engine = Engine::new(cfg).expect("valid config");
         let mut d = make(seed);
-        let r = sim.run(&mut d).expect("simulation runs");
+        let r = engine.run(&mut d).expect("simulation runs").result;
         r.mean_queue.iter().map(|q| q.to_bits()).collect()
     })
 }
@@ -87,10 +87,10 @@ fn equal_rate_ties_keep_index_order_under_total_cmp() {
     // let the input permutation leak into the priority order.
     let tied = [0.2, 0.2, 0.2];
     let serial = Replications::new(REPLICATIONS, 0xD15C_0172).run(1, |_, seed| {
-        let cfg = SimConfig::new(tied.to_vec(), HORIZON, seed);
-        let sim = Simulator::new(cfg).expect("valid config");
+        let cfg = EngineConfig::open_loop(&tied, HORIZON, seed);
+        let engine = Engine::new(cfg).expect("valid config");
         let mut d = PreemptivePriority::by_ascending_rate(&tied).expect("discipline");
-        let r = sim.run(&mut d).expect("simulation runs");
+        let r = engine.run(&mut d).expect("simulation runs").result;
         r.mean_queue
             .iter()
             .map(|q| q.to_bits())
@@ -98,10 +98,10 @@ fn equal_rate_ties_keep_index_order_under_total_cmp() {
     });
     for threads in [4, 8] {
         let parallel = Replications::new(REPLICATIONS, 0xD15C_0172).run(threads, |_, seed| {
-            let cfg = SimConfig::new(tied.to_vec(), HORIZON, seed);
-            let sim = Simulator::new(cfg).expect("valid config");
+            let cfg = EngineConfig::open_loop(&tied, HORIZON, seed);
+            let engine = Engine::new(cfg).expect("valid config");
             let mut d = PreemptivePriority::by_ascending_rate(&tied).expect("discipline");
-            let r = sim.run(&mut d).expect("simulation runs");
+            let r = engine.run(&mut d).expect("simulation runs").result;
             r.mean_queue
                 .iter()
                 .map(|q| q.to_bits())

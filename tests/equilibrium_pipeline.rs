@@ -90,8 +90,8 @@ fn facade_error_carries_layer_detail() {
     // Every layer's error funnels into greednet::Error with the source
     // chain intact.
     fn saturated_sim() -> Result<(), greednet::Error> {
-        let cfg = greednet::des::SimConfig::builder(vec![0.7, 0.8]).build()?;
-        let _ = cfg;
+        use greednet::des::{Engine, EngineConfig};
+        Engine::new(EngineConfig::open_loop(&[0.7, 0.8], 100_000.0, 0))?;
         Ok(())
     }
     let err = saturated_sim().unwrap_err();

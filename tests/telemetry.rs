@@ -4,7 +4,7 @@
 //! and metrics gathered under parallel replication merge in task order.
 
 use greednet_des::scenarios::DisciplineKind;
-use greednet_des::{MetricsProbe, NoopProbe, SimConfig, SimResult, Simulator, TraceBuffer};
+use greednet_des::{Engine, EngineConfig, MetricsProbe, NoopProbe, SimResult, TraceBuffer};
 use greednet_telemetry::{Probe, SimMetrics};
 use proptest::prelude::*;
 
@@ -12,15 +12,10 @@ fn simulate(
     rates: &[f64],
     seed: u64,
     kind: DisciplineKind,
-) -> (Simulator, Box<dyn greednet_des::QDisc>) {
-    let cfg = SimConfig::builder(rates.to_vec())
-        .horizon(8_000.0)
-        .seed(seed)
-        .build()
-        .expect("valid config");
-    let sim = Simulator::new(cfg).expect("simulator");
+) -> (Engine, Box<dyn greednet_des::QDisc>) {
+    let engine = Engine::new(EngineConfig::open_loop(rates, 8_000.0, seed)).expect("valid config");
     let d = kind.build(rates, seed ^ 0x7e1e).expect("discipline");
-    (sim, d)
+    (engine, d)
 }
 
 /// Bitwise equality of every numeric field of two simulation results.
@@ -73,16 +68,22 @@ fn probes_never_change_simulation_results() {
         DisciplineKind::FsTable,
         DisciplineKind::Sfq,
     ] {
-        let (sim, mut d) = simulate(&rates, 11, kind);
-        let plain = sim.run(d.as_mut()).expect("run");
+        let (engine, mut d) = simulate(&rates, 11, kind);
+        let plain = engine.run(d.as_mut()).expect("run").result;
 
-        let (sim, mut d) = simulate(&rates, 11, kind);
-        let noop = sim.run_probed(d.as_mut(), &mut NoopProbe).expect("noop");
+        let (engine, mut d) = simulate(&rates, 11, kind);
+        let noop = engine
+            .run_probed(d.as_mut(), &mut NoopProbe)
+            .expect("noop")
+            .result;
         assert_bitwise_eq(&plain, &noop, kind.label());
 
-        let (sim, mut d) = simulate(&rates, 11, kind);
+        let (engine, mut d) = simulate(&rates, 11, kind);
         let mut probe = (TraceBuffer::new(512), MetricsProbe::new(rates.len()));
-        let probed = sim.run_probed(d.as_mut(), &mut probe).expect("probed");
+        let probed = engine
+            .run_probed(d.as_mut(), &mut probe)
+            .expect("probed")
+            .result;
         assert_bitwise_eq(&plain, &probed, kind.label());
         assert!(
             probe.0.observed() > 0,
@@ -107,11 +108,11 @@ proptest! {
             DisciplineKind::LifoPreemptive,
         ];
         let rates = [r0, r1];
-        let (sim, mut d) = simulate(&rates, seed, kinds[kind_ix]);
-        let plain = sim.run(d.as_mut()).expect("run");
-        let (sim, mut d) = simulate(&rates, seed, kinds[kind_ix]);
+        let (engine, mut d) = simulate(&rates, seed, kinds[kind_ix]);
+        let plain = engine.run(d.as_mut()).expect("run").result;
+        let (engine, mut d) = simulate(&rates, seed, kinds[kind_ix]);
         let mut probe = MetricsProbe::new(rates.len());
-        let probed = sim.run_probed(d.as_mut(), &mut probe).expect("probed");
+        let probed = engine.run_probed(d.as_mut(), &mut probe).expect("probed").result;
         assert_bitwise_eq(&plain, &probed, kinds[kind_ix].label());
     }
 }
@@ -119,9 +120,9 @@ proptest! {
 #[test]
 fn sim_trace_is_schema_valid_jsonl() {
     let rates = [0.25, 0.25];
-    let (sim, mut d) = simulate(&rates, 5, DisciplineKind::FsTable);
+    let (engine, mut d) = simulate(&rates, 5, DisciplineKind::FsTable);
     let mut trace = TraceBuffer::new(100_000);
-    sim.run_probed(d.as_mut(), &mut trace).expect("probed");
+    engine.run_probed(d.as_mut(), &mut trace).expect("probed");
     let jsonl = trace.to_jsonl();
     assert!(!jsonl.is_empty());
     let mut kinds = std::collections::BTreeSet::new();
@@ -165,9 +166,9 @@ fn sim_trace_is_schema_valid_jsonl() {
 #[test]
 fn metrics_probe_counts_are_consistent_with_the_result() {
     let rates = [0.2, 0.35];
-    let (sim, mut d) = simulate(&rates, 9, DisciplineKind::Fifo);
+    let (engine, mut d) = simulate(&rates, 9, DisciplineKind::Fifo);
     let mut probe = MetricsProbe::new(rates.len());
-    sim.run_probed(d.as_mut(), &mut probe).expect("probed");
+    engine.run_probed(d.as_mut(), &mut probe).expect("probed");
     let m = probe.metrics();
     for u in 0..rates.len() {
         let arr = m.arrivals[u].get();
@@ -253,9 +254,12 @@ fn replication_metrics_merge_identically_at_any_thread_count() {
         let reps = Replications::new(6, 77);
         let (_, out): (Vec<u64>, Vec<SimMetrics>) = reps
             .run(threads, |_, seed| {
-                let (sim, mut d) = simulate(&rates, seed, DisciplineKind::FsTable);
+                let (engine, mut d) = simulate(&rates, seed, DisciplineKind::FsTable);
                 let mut probe = MetricsProbe::new(rates.len());
-                let r = sim.run_probed(d.as_mut(), &mut probe).expect("probed");
+                let r = engine
+                    .run_probed(d.as_mut(), &mut probe)
+                    .expect("probed")
+                    .result;
                 (r.events, probe.into_metrics())
             })
             .into_iter()

@@ -3,13 +3,13 @@
 //! (`greednet-des`) — §3.1 of the paper made executable.
 
 use greednet::des::scenarios::DisciplineKind;
-use greednet::des::{Engine, EngineConfig, EngineReport, SimConfig, Simulator};
+use greednet::des::{Engine, EngineConfig, EngineReport};
 use greednet::queueing::{mm1, AllocationFunction, FairShare, Proportional, SerialPriority};
 
 fn simulate(rates: &[f64], kind: DisciplineKind, horizon: f64, seed: u64) -> Vec<f64> {
-    let sim = Simulator::new(SimConfig::new(rates.to_vec(), horizon, seed)).unwrap();
+    let engine = Engine::new(EngineConfig::open_loop(rates, horizon, seed)).unwrap();
     let mut d = kind.build(rates, seed ^ 0xF00D).unwrap();
-    sim.run(d.as_mut()).unwrap().mean_queue
+    engine.run(d.as_mut()).unwrap().result.mean_queue
 }
 
 #[test]
@@ -68,15 +68,11 @@ fn protection_bound_holds_in_packets() {
     let bound = victim / (1.0 - n as f64 * victim);
     for blaster in [0.3, 0.6, 1.2] {
         let rates = vec![victim, blaster, 0.05];
-        let cfg = SimConfig::builder(rates.clone())
-            .horizon(60_000.0)
-            .seed(808)
-            .allow_overload(true)
-            .build()
-            .unwrap();
-        let sim = Simulator::new(cfg).unwrap();
+        let mut cfg = EngineConfig::open_loop(&rates, 60_000.0, 808);
+        cfg.allow_overload = true;
+        let engine = Engine::new(cfg).unwrap();
         let mut d = DisciplineKind::FsTable.build(&rates, 1).unwrap();
-        let q = sim.run(d.as_mut()).unwrap().mean_queue[0];
+        let q = engine.run(d.as_mut()).unwrap().result.mean_queue[0];
         assert!(
             q <= bound * 1.08,
             "victim queue {q} above protection bound {bound} (blaster {blaster})"
@@ -135,8 +131,8 @@ fn fifo_violates_protection_in_packets() {
     let n = 3;
     let bound = victim / (1.0 - n as f64 * victim);
     let rates = vec![victim, 0.85, 0.02];
-    let sim = Simulator::new(SimConfig::new(rates.clone(), 60_000.0, 808)).unwrap();
+    let engine = Engine::new(EngineConfig::open_loop(&rates, 60_000.0, 808)).unwrap();
     let mut d = DisciplineKind::Fifo.build(&rates, 1).unwrap();
-    let q = sim.run(d.as_mut()).unwrap().mean_queue[0];
+    let q = engine.run(d.as_mut()).unwrap().result.mean_queue[0];
     assert!(q > 2.0 * bound, "FIFO victim queue {q} vs bound {bound}");
 }
