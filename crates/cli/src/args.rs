@@ -1,8 +1,15 @@
-//! Hand-rolled argument parsing for the `greednet` CLI (no external
-//! dependencies; the grammar is tiny).
+//! Argument parsing for the `greednet` CLI.
+//!
+//! The scenario commands (`nash`, `simulate`, `table`, `protect`,
+//! `largen`) have no grammar here. Their `--name value` flags go to the
+//! serve field walk ([`RequestKind::from_flags`]) as the wire fields of
+//! the same names, so the CLI and the service share one parser, one set
+//! of defaults and one error text. This module reads only `--trace` and
+//! `--metrics`, which have no wire field, and the options of `network`,
+//! `exp` and `serve`. Every command rejects a flag it does not know.
 
 use greednet_bench::exp_cli::ExpArgs;
-use greednet_serve::request::{DEFAULT_CLASSES, DEFAULT_USERS};
+use greednet_serve::RequestKind;
 use std::fmt;
 
 /// Usage text.
@@ -83,93 +90,24 @@ EXAMPLES:
 /// A parsed CLI command.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
-    /// Compute a Nash equilibrium.
-    Nash(NashArgs),
-    /// Run the packet simulator.
-    Simulate(SimulateArgs),
-    /// Print the Table 1 decomposition.
-    Table(TableArgs),
-    /// Protection sweep.
-    Protect(ProtectArgs),
+    /// A scenario command (`nash`, `simulate`, `table`, `protect` or
+    /// `largen`), parsed by the serve field walk.
+    Scenario {
+        /// The spec that the wire request with the same fields parses to.
+        kind: RequestKind,
+        /// `--trace FILE` (`nash`, `simulate`).
+        trace: Option<String>,
+        /// `--metrics` (`simulate`).
+        metrics: bool,
+    },
     /// Parking-lot network equilibrium.
     Network(NetworkArgs),
-    /// Large-N mean-field equilibrium.
-    Largen(LargenArgs),
     /// Registry experiment runner.
     Exp(ExpCmdArgs),
     /// Long-running scenario service.
     Serve(ServeArgs),
     /// Show usage.
     Help,
-}
-
-/// Arguments for `nash`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NashArgs {
-    /// Discipline name (fifo/fs/sp).
-    pub discipline: String,
-    /// Utility specs.
-    pub users: Vec<UtilitySpec>,
-    /// Write best-response solver iterates to this file as JSONL.
-    pub trace: Option<String>,
-}
-
-/// Arguments for `simulate`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimulateArgs {
-    /// Poisson rates.
-    pub rates: Vec<f64>,
-    /// Discipline name (fifo/lifo/ps/sp/fs/sfq).
-    pub discipline: String,
-    /// Simulated horizon.
-    pub horizon: f64,
-    /// Warm-up interval (`None` keeps the engine default, horizon/10).
-    pub warmup: Option<f64>,
-    /// Batch-means window count (`None` keeps the engine default).
-    pub windows: Option<usize>,
-    /// RNG seed.
-    pub seed: u64,
-    /// Service-time spec (`M`/`D`/`E<k>`/`H2:<cs2>`).
-    pub service: String,
-    /// Write packet lifecycle events to this file as JSONL.
-    pub trace: Option<String>,
-    /// Print telemetry histograms and event counters after the run.
-    pub metrics: bool,
-}
-
-/// Arguments for `table`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TableArgs {
-    /// Rates to decompose.
-    pub rates: Vec<f64>,
-}
-
-/// Arguments for `protect`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProtectArgs {
-    /// Total number of users.
-    pub n: usize,
-    /// Victim rate.
-    pub victim: f64,
-    /// Discipline name.
-    pub discipline: String,
-}
-
-/// Arguments for `largen`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LargenArgs {
-    /// Discipline name (fifo/fs/sfq).
-    pub discipline: String,
-    /// User count; `0` solves the continuum limit.
-    pub n: u64,
-    /// Class utility specs.
-    pub classes: Vec<UtilitySpec>,
-    /// Class mass fractions (empty = equal split).
-    pub weights: Vec<f64>,
-    /// RNG seed for the jittered start.
-    pub seed: u64,
-    /// Sweep shards (bitwise identical at any count).
-    pub threads: usize,
 }
 
 /// Arguments for `serve`.
@@ -205,17 +143,6 @@ pub struct NetworkArgs {
     pub discipline: String,
 }
 
-/// A user utility specification.
-#[derive(Debug, Clone, PartialEq)]
-pub struct UtilitySpec {
-    /// Family: linear/log/power/quad.
-    pub family: String,
-    /// First parameter.
-    pub a: f64,
-    /// Second parameter.
-    pub b: f64,
-}
-
 /// Parse error with a message suitable for the terminal.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParseError(pub String);
@@ -249,9 +176,10 @@ fn strip_flag(args: &[String], flag: &str) -> (Vec<String>, bool) {
     (kept, found)
 }
 
-/// Extracts `--key value` options from the tail of an argument list.
+/// Extracts `--key value` options from the tail of an argument list. A
+/// repeated key keeps its last value.
 fn options(args: &[String]) -> Result<Vec<(String, String)>, ParseError> {
-    let mut out = Vec::new();
+    let mut out: Vec<(String, String)> = Vec::new();
     let mut it = args.iter();
     while let Some(k) = it.next() {
         let Some(key) = k.strip_prefix("--") else {
@@ -260,51 +188,45 @@ fn options(args: &[String]) -> Result<Vec<(String, String)>, ParseError> {
         let Some(v) = it.next() else {
             return err(format!("--{key} needs a value"));
         };
+        out.retain(|(seen, _)| seen != key);
         out.push((key.to_string(), v.clone()));
     }
     Ok(out)
 }
 
+/// [`options`] for a command that takes only the `known` keys.
+fn known_options(args: &[String], known: &[&str]) -> Result<Vec<(String, String)>, ParseError> {
+    let opts = options(args)?;
+    match opts.iter().find(|(k, _)| !known.contains(&k.as_str())) {
+        Some((k, _)) => err(format!("unknown option --{k}")),
+        None => Ok(opts),
+    }
+}
+
 fn get<'a>(opts: &'a [(String, String)], key: &str) -> Option<&'a str> {
-    opts.iter()
-        .rev()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v.as_str())
+    opts.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
 }
 
-/// Parses a comma-separated list of rates.
-pub fn parse_rates(s: &str) -> Result<Vec<f64>, ParseError> {
-    let rates: Result<Vec<f64>, _> = s.split(',').map(|x| x.trim().parse::<f64>()).collect();
-    match rates {
-        Ok(r) if !r.is_empty() && r.iter().all(|x| x.is_finite() && *x >= 0.0) => Ok(r),
-        _ => err(format!("invalid rate list '{s}' (expected e.g. 0.1,0.2)")),
-    }
-}
-
-/// Parses the semicolon-separated utility list.
-pub fn parse_users(s: &str) -> Result<Vec<UtilitySpec>, ParseError> {
-    let mut out = Vec::new();
-    for part in s.split(';') {
-        let part = part.trim();
-        let Some((family, params)) = part.split_once(':') else {
-            return err(format!("bad utility '{part}' (expected family:a,b)"));
-        };
-        let family = family.trim().to_lowercase();
-        if !["linear", "log", "power", "quad"].contains(&family.as_str()) {
-            return err(format!("unknown utility family '{family}'"));
-        }
-        let Some((a, b)) = params.split_once(',') else {
-            return err(format!("bad parameters in '{part}' (expected a,b)"));
-        };
-        let (Ok(a), Ok(b)) = (a.trim().parse::<f64>(), b.trim().parse::<f64>()) else {
-            return err(format!("bad numbers in '{part}'"));
-        };
-        out.push(UtilitySpec { family, a, b });
-    }
-    if out.is_empty() {
-        return err("at least one utility is required");
-    }
-    Ok(out)
+/// A scenario command: `--metrics` (on `simulate`) and `--trace` (on
+/// `nash` and `simulate`) are read here, and every other flag is a wire
+/// field for the walk.
+fn scenario(cmd: &str, args: &[String]) -> Result<Command, ParseError> {
+    let (args, metrics) = if cmd == "simulate" {
+        strip_flag(args, "--metrics")
+    } else {
+        (args.to_vec(), false)
+    };
+    let mut flags = options(&args)?;
+    let trace = match flags.iter().position(|(k, _)| k == "trace") {
+        Some(i) if matches!(cmd, "nash" | "simulate") => Some(flags.remove(i).1),
+        _ => None,
+    };
+    let kind = RequestKind::from_flags(cmd, &flags).map_err(|e| ParseError(e.to_string()))?;
+    Ok(Command::Scenario {
+        kind,
+        trace,
+        metrics,
+    })
 }
 
 /// Parses a full command line (excluding the program name).
@@ -318,60 +240,9 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
     let rest = &args[1..];
     match cmd.as_str() {
         "help" | "--help" | "-h" => Ok(Command::Help),
-        "nash" => {
-            let opts = options(rest)?;
-            let users = parse_users(get(&opts, "users").unwrap_or(DEFAULT_USERS))?;
-            Ok(Command::Nash(NashArgs {
-                discipline: get(&opts, "discipline").unwrap_or("fs").to_string(),
-                users,
-                trace: get(&opts, "trace").map(String::from),
-            }))
-        }
-        "simulate" => {
-            let (rest, metrics) = strip_flag(rest, "--metrics");
-            let opts = options(&rest)?;
-            let Some(rates) = get(&opts, "rates") else {
-                return err("simulate requires --rates");
-            };
-            let horizon: f64 = get(&opts, "horizon")
-                .unwrap_or("100000")
-                .parse()
-                .map_err(|_| ParseError("bad --horizon".into()))?;
-            let warmup: Option<f64> = match get(&opts, "warmup") {
-                Some(v) => Some(v.parse().map_err(|_| ParseError("bad --warmup".into()))?),
-                None => None,
-            };
-            let windows: Option<usize> = match get(&opts, "windows") {
-                Some(v) => Some(v.parse().map_err(|_| ParseError("bad --windows".into()))?),
-                None => None,
-            };
-            let seed: u64 = get(&opts, "seed")
-                .unwrap_or("1")
-                .parse()
-                .map_err(|_| ParseError("bad --seed".into()))?;
-            Ok(Command::Simulate(SimulateArgs {
-                rates: parse_rates(rates)?,
-                discipline: get(&opts, "discipline").unwrap_or("fs").to_string(),
-                horizon,
-                warmup,
-                windows,
-                seed,
-                service: get(&opts, "service").unwrap_or("M").to_string(),
-                trace: get(&opts, "trace").map(String::from),
-                metrics,
-            }))
-        }
-        "table" => {
-            let opts = options(rest)?;
-            let Some(rates) = get(&opts, "rates") else {
-                return err("table requires --rates");
-            };
-            Ok(Command::Table(TableArgs {
-                rates: parse_rates(rates)?,
-            }))
-        }
+        "nash" | "simulate" | "table" | "protect" | "largen" => scenario(cmd, rest),
         "network" => {
-            let opts = options(rest)?;
+            let opts = known_options(rest, &["switches", "discipline"])?;
             let switches: usize = get(&opts, "switches")
                 .unwrap_or("3")
                 .parse()
@@ -390,7 +261,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             Ok(Command::Exp(ExpCmdArgs { id, opts }))
         }
         "serve" => {
-            let opts = options(rest)?;
+            let opts = known_options(rest, &["tcp", "threads", "cache"])?;
             let threads: usize = get(&opts, "threads")
                 .unwrap_or("1")
                 .parse()
@@ -408,55 +279,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 cache,
             }))
         }
-        "largen" => {
-            let opts = options(rest)?;
-            let n: u64 = get(&opts, "n")
-                .unwrap_or("10000")
-                .parse()
-                .map_err(|_| ParseError("bad --n".into()))?;
-            let classes = parse_users(get(&opts, "classes").unwrap_or(DEFAULT_CLASSES))?;
-            let weights: Vec<f64> = match get(&opts, "weights") {
-                Some(s) => {
-                    parse_rates(s).map_err(|_| ParseError(format!("invalid weight list '{s}'")))?
-                }
-                None => Vec::new(),
-            };
-            let seed: u64 = get(&opts, "seed")
-                .unwrap_or("1")
-                .parse()
-                .map_err(|_| ParseError("bad --seed".into()))?;
-            let threads: usize = get(&opts, "threads")
-                .unwrap_or("1")
-                .parse()
-                .map_err(|_| ParseError("bad --threads".into()))?;
-            if threads == 0 {
-                return err("--threads must be >= 1");
-            }
-            Ok(Command::Largen(LargenArgs {
-                discipline: get(&opts, "discipline").unwrap_or("fs").to_string(),
-                n,
-                classes,
-                weights,
-                seed,
-                threads,
-            }))
-        }
-        "protect" => {
-            let opts = options(rest)?;
-            let n: usize = get(&opts, "n")
-                .unwrap_or("4")
-                .parse()
-                .map_err(|_| ParseError("bad --n".into()))?;
-            let victim: f64 = get(&opts, "victim")
-                .unwrap_or("0.1")
-                .parse()
-                .map_err(|_| ParseError("bad --victim".into()))?;
-            Ok(Command::Protect(ProtectArgs {
-                n,
-                victim,
-                discipline: get(&opts, "discipline").unwrap_or("fs").to_string(),
-            }))
-        }
         other => err(format!("unknown command '{other}' (try 'greednet help')")),
     }
 }
@@ -465,9 +287,26 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
 mod tests {
     use super::*;
     use greednet_runtime::Format;
+    use greednet_serve::Request;
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
+    }
+
+    /// What a scenario command line parses to: `(kind, trace, metrics)`.
+    fn scenario(line: &str) -> (RequestKind, Option<String>, bool) {
+        match parse(&argv(line)) {
+            Ok(Command::Scenario {
+                kind,
+                trace,
+                metrics,
+            }) => (kind, trace, metrics),
+            other => panic!("{line}: {other:?}"),
+        }
+    }
+
+    fn kind(line: &str) -> RequestKind {
+        scenario(line).0
     }
 
     #[test]
@@ -477,106 +316,218 @@ mod tests {
         assert_eq!(parse(&argv("--help")).unwrap(), Command::Help);
     }
 
+    /// `(flag line, wire line)`: both parse to the same spec, or fail with
+    /// the same message up to how it names a field.
+    #[rustfmt::skip]
+    const ROWS: &[(&str, &str)] = &[
+        // every scenario command at its defaults
+        ("nash", r#"{"kind":"nash"}"#),
+        ("simulate --rates 0.2,0.1", r#"{"kind":"simulate","rates":[0.2,0.1]}"#),
+        ("table --rates 0.05,0.1,0.2", r#"{"kind":"table","rates":[0.05,0.1,0.2]}"#),
+        ("protect", r#"{"kind":"protect"}"#),
+        ("largen", r#"{"kind":"largen"}"#),
+        // ... and with each field off its default
+        ("nash --discipline fifo", r#"{"kind":"nash","discipline":"fifo"}"#),
+        ("nash --users log:0.5,1.0;linear:1.0,0.4", r#"{"kind":"nash","users":"log:0.5,1.0;linear:1.0,0.4"}"#),
+        ("simulate --rates 0.3,0.1", r#"{"kind":"simulate","rates":[0.3,0.1]}"#),
+        ("simulate --rates 0.2,0.1 --discipline ps", r#"{"kind":"simulate","rates":[0.2,0.1],"discipline":"ps"}"#),
+        ("simulate --rates 0.2,0.1 --horizon 5000", r#"{"kind":"simulate","rates":[0.2,0.1],"horizon":5000}"#),
+        ("simulate --rates 0.2,0.1 --warmup 500", r#"{"kind":"simulate","rates":[0.2,0.1],"warmup":500}"#),
+        ("simulate --rates 0.2,0.1 --windows 16", r#"{"kind":"simulate","rates":[0.2,0.1],"windows":16}"#),
+        ("simulate --rates 0.2,0.1 --seed 2", r#"{"kind":"simulate","rates":[0.2,0.1],"seed":2}"#),
+        ("simulate --rates 0.2,0.1 --service D", r#"{"kind":"simulate","rates":[0.2,0.1],"service":"D"}"#),
+        ("table --rates 0.1", r#"{"kind":"table","rates":[0.1]}"#),
+        ("protect --n 5", r#"{"kind":"protect","n":5}"#),
+        ("protect --victim 0.2", r#"{"kind":"protect","victim":0.2}"#),
+        ("protect --discipline fifo", r#"{"kind":"protect","discipline":"fifo"}"#),
+        ("largen --discipline sfq", r#"{"kind":"largen","discipline":"sfq"}"#),
+        ("largen --n 0", r#"{"kind":"largen","n":0}"#),
+        ("largen --classes log:0.6,1.0", r#"{"kind":"largen","classes":"log:0.6,1.0"}"#),
+        ("largen --weights 1,2,3", r#"{"kind":"largen","weights":[1,2,3]}"#),
+        ("largen --seed 2", r#"{"kind":"largen","seed":2}"#),
+        ("largen --threads 4", r#"{"kind":"largen","threads":4}"#),
+        // every alias
+        ("nash --discipline fairshare", r#"{"kind":"nash","discipline":"fairshare"}"#),
+        ("protect --discipline fair-share", r#"{"kind":"protect","discipline":"fair-share"}"#),
+        ("nash --discipline serial", r#"{"kind":"nash","discipline":"serial"}"#),
+        ("simulate --rates 0.2,0.1 --discipline fq", r#"{"kind":"simulate","rates":[0.2,0.1],"discipline":"fq"}"#),
+        ("largen --discipline fq", r#"{"kind":"largen","discipline":"fq"}"#),
+        ("simulate --rates 0.2,0.1 --service m", r#"{"kind":"simulate","rates":[0.2,0.1],"service":"m"}"#),
+        ("simulate --rates 0.2,0.1 --service H2:4", r#"{"kind":"simulate","rates":[0.2,0.1],"service":"H2:4"}"#),
+        // string utility lists, against both wire forms
+        ("nash --users LOG:0.5,1.0;linear:1.0,0.4", r#"{"kind":"nash","users":"LOG:0.5,1.0;linear:1.0,0.4"}"#),
+        ("nash --users LOG:0.5,1.0;linear:1.0,0.4", r#"{"kind":"nash","users":[{"family":"log","a":0.5,"b":1.0},{"family":"linear","a":1.0,"b":0.4}]}"#),
+        ("largen --classes log:0.6,1.0;Log:0.4,1.0 --weights 3,1", r#"{"kind":"largen","classes":[{"family":"log","a":0.6,"b":1.0},{"family":"log","a":0.4,"b":1.0}],"weights":[3,1]}"#),
+        // an unknown family parses, and fails at execution
+        ("nash --users zap:1,1", r#"{"kind":"nash","users":"zap:1,1"}"#),
+        // numbers read as the wire reads them
+        ("simulate --rates 0.2,0.1 --seed 1e3", r#"{"kind":"simulate","rates":[0.2,0.1],"seed":1000}"#),
+        ("protect --victim .5", r#"{"kind":"protect","victim":0.5}"#),
+        ("largen --threads 0", r#"{"kind":"largen","threads":0}"#),
+        // unknown fields, including --trace where the command has none
+        ("simulate --rates 0.2,0.1 --horizn 3000", r#"{"kind":"simulate","rates":[0.2,0.1],"horizn":3000}"#),
+        ("table --rates 0.1 --trace t.jsonl", r#"{"kind":"table","rates":[0.1],"trace":"t.jsonl"}"#),
+        // missing and malformed values
+        ("simulate", r#"{"kind":"simulate"}"#),
+        ("table", r#"{"kind":"table"}"#),
+        ("table --rates 0.1,-0.2", r#"{"kind":"table","rates":[0.1,-0.2]}"#),
+        ("simulate --rates abc", r#"{"kind":"simulate","rates":["abc"]}"#),
+        ("simulate --rates 0.2,0.1 --horizon x", r#"{"kind":"simulate","rates":[0.2,0.1],"horizon":"x"}"#),
+        ("simulate --rates 0.2,0.1 --horizon inf", r#"{"kind":"simulate","rates":[0.2,0.1],"horizon":"inf"}"#),
+        ("simulate --rates 0.2,0.1 --warmup x", r#"{"kind":"simulate","rates":[0.2,0.1],"warmup":"x"}"#),
+        ("simulate --rates 0.2,0.1 --windows 2.5", r#"{"kind":"simulate","rates":[0.2,0.1],"windows":2.5}"#),
+        ("simulate --rates 0.2,0.1 --seed 9007199254740993", r#"{"kind":"simulate","rates":[0.2,0.1],"seed":9007199254740993}"#),
+        ("protect --n -1", r#"{"kind":"protect","n":-1}"#),
+        ("largen --n x", r#"{"kind":"largen","n":"x"}"#),
+        ("largen --weights 1,abc", r#"{"kind":"largen","weights":[1,"abc"]}"#),
+        ("largen --weights 0,1,1", r#"{"kind":"largen","weights":[0,1,1]}"#),
+        ("nash --users linear:1", r#"{"kind":"nash","users":"linear:1"}"#),
+        ("nash --users linear:x,y", r#"{"kind":"nash","users":"linear:x,y"}"#),
+        // two bad fields: the first in walk order wins
+        ("simulate --horizon y --rates x", r#"{"kind":"simulate","horizon":"y","rates":["x"]}"#),
+    ];
+
+    /// A flag-line error message in the wire's words: `--name` becomes
+    /// `"name"`.
+    fn as_wire(msg: &str) -> String {
+        let mut parts = msg.split("--");
+        let mut out = parts.next().unwrap_or_default().to_string();
+        for part in parts {
+            let end = part
+                .find(|c: char| !c.is_ascii_alphanumeric())
+                .unwrap_or(part.len());
+            out += &format!("\"{}\"{}", &part[..end], &part[end..]);
+        }
+        out
+    }
+
     #[test]
-    fn usage_states_the_default_window_count() {
-        let line = USAGE
+    fn flag_lines_parse_as_their_wire_lines() {
+        for &(flags, json) in ROWS {
+            let cli = match parse(&argv(flags)) {
+                Ok(Command::Scenario { kind, .. }) => Ok(kind),
+                Ok(other) => panic!("{flags}: {other:?}"),
+                Err(e) => Err(as_wire(&e.0)),
+            };
+            let wire = Request::parse_line(json)
+                .map(|r| r.kind)
+                .map_err(|e| e.to_string());
+            assert_eq!(cli, wire, "{flags}\n  vs {json}");
+        }
+    }
+
+    #[test]
+    fn last_option_wins() {
+        assert_eq!(kind("protect --n 3 --n 7"), kind("protect --n 7"));
+    }
+
+    /// `(flag, X)` for each `(default X)` that `USAGE` states in the block
+    /// of `cmd`, where X is one literal token (not `horizon/10` or prose).
+    fn usage_defaults(cmd: &str) -> Vec<(String, String)> {
+        let head = format!("    {cmd} ");
+        let mut entries: Vec<String> = Vec::new();
+        for line in USAGE
             .lines()
-            .find(|l| l.contains("--windows K"))
-            .expect("simulate lists --windows");
-        let default = format!("(default {})", greednet_des::DEFAULT_WINDOWS);
-        assert!(line.ends_with(&default), "{line}");
+            .skip_while(|l| !l.starts_with(&head))
+            .skip(1)
+            .take_while(|l| l.starts_with("     "))
+        {
+            let line = line.trim();
+            match entries.last_mut() {
+                Some(entry) if !line.starts_with("--") => *entry += &format!(" {line}"),
+                _ => entries.push(line.to_string()),
+            }
+        }
+        entries
+            .iter()
+            .filter_map(|entry| {
+                let flag = entry.split_whitespace().next()?.strip_prefix("--")?;
+                let x = entry.split("(default ").nth(1)?.split(')').next()?;
+                let literal = x.chars().all(|c| c.is_ascii_alphanumeric() || c == '.');
+                literal.then(|| (flag.to_string(), x.to_string()))
+            })
+            .collect()
     }
 
     #[test]
-    fn nash_defaults_and_overrides() {
-        let Command::Nash(a) = parse(&argv("nash")).unwrap() else {
-            panic!()
+    fn usage_defaults_are_the_walk_defaults() {
+        let mut checked = Vec::new();
+        for (cmd, required) in [
+            ("nash", ""),
+            ("simulate", " --rates 0.1"),
+            ("table", " --rates 0.1"),
+            ("protect", ""),
+            ("largen", ""),
+        ] {
+            let base = format!("{cmd}{required}");
+            for (flag, default) in usage_defaults(cmd) {
+                let spelled = format!("{base} --{flag} {default}");
+                assert_eq!(
+                    kind(&base).cache_key(),
+                    kind(&spelled).cache_key(),
+                    "USAGE states a default the walk does not have: {spelled}"
+                );
+                checked.push(spelled);
+            }
+        }
+        assert!(checked.len() >= 13, "{checked:?}");
+    }
+
+    /// Every example command in `USAGE`, `README.md` and `EXPERIMENTS.md`
+    /// parses. Unknown flags are errors, so a stale example fails here
+    /// instead of running on defaults.
+    #[test]
+    fn documented_examples_parse() {
+        let after = |line: &str, prefix: &str| {
+            let (_, command) = line.split_once(prefix)?;
+            command.split('#').next().map(str::to_string)
         };
-        assert_eq!(a.discipline, "fs");
-        assert_eq!(a.users.len(), 3);
-        let Command::Nash(a) =
-            parse(&argv("nash --discipline fifo --users linear:1.0,0.5")).unwrap()
-        else {
-            panic!()
-        };
-        assert_eq!(a.discipline, "fifo");
-        assert_eq!(
-            a.users,
-            vec![UtilitySpec {
-                family: "linear".into(),
-                a: 1.0,
-                b: 0.5
-            }]
-        );
+        let mut examples: Vec<String> = USAGE
+            .lines()
+            .skip_while(|l| !l.starts_with("EXAMPLES:"))
+            .filter_map(|l| after(l, "greednet "))
+            .collect();
+        for doc in ["README.md", "EXPERIMENTS.md"] {
+            let path = format!("{}/../../{doc}", env!("CARGO_MANIFEST_DIR"));
+            let text = std::fs::read_to_string(&path).unwrap().replace("\\\n", " ");
+            let found: Vec<String> = text
+                .lines()
+                .filter_map(|l| after(l, "greednet-cli -- "))
+                .collect();
+            assert!(!found.is_empty(), "{doc} has no greednet-cli examples");
+            examples.extend(found);
+        }
+        assert!(examples.len() >= 20, "{examples:?}");
+        for example in &examples {
+            // No quoted argument in the docs holds a space.
+            let parsed = parse(&argv(&example.replace('\'', "")));
+            assert!(parsed.is_ok(), "{example}: {parsed:?}");
+        }
     }
 
     #[test]
-    fn simulate_parsing() {
-        let Command::Simulate(a) = parse(&argv(
-            "simulate --rates 0.1,0.2 --discipline sfq --horizon 5000 --seed 9 --service D",
-        ))
-        .unwrap() else {
-            panic!()
-        };
-        assert_eq!(a.rates, vec![0.1, 0.2]);
-        assert_eq!(a.discipline, "sfq");
-        assert_eq!(a.horizon, 5000.0);
-        assert_eq!(a.seed, 9);
-        assert_eq!(a.service, "D");
-        assert_eq!(a.warmup, None);
-        assert_eq!(a.windows, None);
-        assert_eq!(a.trace, None);
-        assert!(!a.metrics);
-        assert!(parse(&argv("simulate")).is_err());
-        assert!(parse(&argv("simulate --rates abc")).is_err());
-    }
-
-    #[test]
-    fn simulate_telemetry_flags() {
-        let Command::Simulate(a) = parse(&argv(
-            "simulate --rates 0.3,0.3 --warmup 500 --windows 8 --trace /tmp/t.jsonl --metrics",
-        ))
-        .unwrap() else {
-            panic!()
-        };
-        assert_eq!(a.warmup, Some(500.0));
-        assert_eq!(a.windows, Some(8));
-        assert_eq!(a.trace.as_deref(), Some("/tmp/t.jsonl"));
-        assert!(a.metrics);
+    fn trace_and_metrics_are_read_where_the_command_has_them() {
         // --metrics is a bare flag: it must not swallow the next option.
-        let Command::Simulate(a) =
-            parse(&argv("simulate --metrics --rates 0.1,0.1 --seed 3")).unwrap()
-        else {
-            panic!()
-        };
-        assert!(a.metrics);
-        assert_eq!(a.seed, 3);
-        assert!(parse(&argv("simulate --rates 0.1 --warmup x")).is_err());
-        assert!(parse(&argv("simulate --rates 0.1 --windows x")).is_err());
-    }
-
-    #[test]
-    fn nash_trace_flag() {
-        let Command::Nash(a) = parse(&argv("nash --trace /tmp/solver.jsonl")).unwrap() else {
-            panic!()
-        };
-        assert_eq!(a.trace.as_deref(), Some("/tmp/solver.jsonl"));
-    }
-
-    #[test]
-    fn table_and_protect() {
-        let Command::Table(t) = parse(&argv("table --rates 0.05,0.1")).unwrap() else {
-            panic!()
-        };
-        assert_eq!(t.rates.len(), 2);
-        let Command::Protect(p) =
-            parse(&argv("protect --n 5 --victim 0.12 --discipline fifo")).unwrap()
-        else {
-            panic!()
-        };
-        assert_eq!(p.n, 5);
-        assert_eq!(p.victim, 0.12);
-        assert_eq!(p.discipline, "fifo");
+        assert_eq!(
+            scenario("simulate --metrics --rates 0.1,0.1 --trace /tmp/t.jsonl --seed 3"),
+            (
+                kind("simulate --rates 0.1,0.1 --seed 3"),
+                Some("/tmp/t.jsonl".into()),
+                true
+            )
+        );
+        assert_eq!(
+            scenario("nash --trace /tmp/solver.jsonl"),
+            (kind("nash"), Some("/tmp/solver.jsonl".into()), false)
+        );
+        // Elsewhere they are usage errors.
+        for line in [
+            "protect --trace /tmp/t.jsonl",
+            "largen --metrics 1",
+            "nash --metrics",
+        ] {
+            assert!(parse(&argv(line)).is_err(), "{line}");
+        }
     }
 
     #[test]
@@ -591,6 +542,19 @@ mod tests {
             panic!()
         };
         assert_eq!(n.switches, 3);
+    }
+
+    #[test]
+    fn network_and_serve_reject_unknown_options() {
+        for (line, flag) in [
+            ("network --switch 5", "--switch"),
+            ("network --discipline fifo --swiches 2", "--swiches"),
+            ("serve --thread 4", "--thread"),
+            ("serve --tcp 127.0.0.1:0 --cach 0", "--cach"),
+        ] {
+            let err = parse(&argv(line)).unwrap_err();
+            assert_eq!(err.0, format!("unknown option {flag}"), "{line}");
+        }
     }
 
     #[test]
@@ -634,61 +598,9 @@ mod tests {
     }
 
     #[test]
-    fn largen_parsing() {
-        let Command::Largen(a) = parse(&argv("largen")).unwrap() else {
-            panic!()
-        };
-        assert_eq!(a.discipline, "fs");
-        assert_eq!(a.n, 10_000);
-        assert_eq!(a.classes.len(), 3);
-        assert!(a.weights.is_empty());
-        assert_eq!(a.seed, 1);
-        assert_eq!(a.threads, 1);
-        let Command::Largen(a) = parse(&argv(
-            "largen --discipline sfq --n 0 --classes log:0.6,1.0;log:0.4,1.0 --weights 3,1 --seed 7 --threads 4",
-        ))
-        .unwrap() else {
-            panic!()
-        };
-        assert_eq!(a.discipline, "sfq");
-        assert_eq!(a.n, 0);
-        assert_eq!(a.classes.len(), 2);
-        assert_eq!(a.weights, vec![3.0, 1.0]);
-        assert_eq!(a.seed, 7);
-        assert_eq!(a.threads, 4);
-        assert!(parse(&argv("largen --n x")).is_err());
-        assert!(parse(&argv("largen --threads 0")).is_err());
-        assert!(parse(&argv("largen --weights 1,abc")).is_err());
-    }
-
-    #[test]
     fn option_errors() {
         assert!(parse(&argv("nash --users")).is_err());
         assert!(parse(&argv("nash users")).is_err());
         assert!(parse(&argv("frobnicate")).is_err());
-    }
-
-    #[test]
-    fn utility_spec_errors() {
-        assert!(parse_users("bogus:1,2").is_err());
-        assert!(parse_users("linear:1").is_err());
-        assert!(parse_users("linear:x,y").is_err());
-        assert!(parse_users("").is_err());
-        assert!(parse_users("log:0.5,1.0;power:0.5,1.0").is_ok());
-    }
-
-    #[test]
-    fn rate_errors() {
-        assert!(parse_rates("0.1,-0.2").is_err());
-        assert!(parse_rates("").is_err());
-        assert!(parse_rates("0.1,0.2,0.3").is_ok());
-    }
-
-    #[test]
-    fn last_option_wins() {
-        let Command::Protect(p) = parse(&argv("protect --n 3 --n 7")).unwrap() else {
-            panic!()
-        };
-        assert_eq!(p.n, 7);
     }
 }

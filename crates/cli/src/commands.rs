@@ -1,24 +1,19 @@
 //! Implementations of the CLI commands.
 //!
-//! The scenario commands (`nash`/`simulate`/`table`/`protect`) are thin
-//! wrappers over the shared data path in `greednet_serve::ops`: the spec
-//! computes an outcome as data, and the command prints the outcome's
-//! `render_text()` — byte-identical to the output these commands printed
-//! when they formatted results inline (pinned by the golden tests in
-//! `tests/golden_output.rs`). The `greednet serve` service renders the
-//! same outcomes as JSON, so CLI and service can never drift apart.
+//! A scenario command (`nash`/`simulate`/`table`/`protect`/`largen`)
+//! runs the spec that the serve field walk parsed from its flags through
+//! the shared data path in `greednet_serve::ops`, and prints the
+//! outcome's `render_text()` (pinned byte for byte by the golden tests in
+//! `tests/golden_output.rs`). The `greednet serve` service parses the
+//! same specs from JSON and renders the same outcomes as JSON, so CLI and
+//! service can never drift apart.
 
-use crate::args::{
-    ExpCmdArgs, LargenArgs, NashArgs, NetworkArgs, ProtectArgs, ServeArgs, SimulateArgs, TableArgs,
-    UtilitySpec,
-};
+use crate::args::{ExpCmdArgs, NetworkArgs, ServeArgs};
 use greednet_core::game::NashOptions;
 use greednet_core::utility::{BoxedUtility, LogUtility, UtilityExt};
 use greednet_des::{MetricsProbe, TraceBuffer};
-use greednet_serve::ops::{
-    LargenSpec, NashSpec, ProtectSpec, SimulateSpec, TableSpec, UtilityParam,
-};
-use greednet_serve::{ServeOptions, Service};
+use greednet_serve::ops::{NashSpec, SimulateSpec};
+use greednet_serve::{RequestKind, ServeOptions, Service};
 
 /// Ring-buffer capacity for `--trace`: keeps the most recent events of
 /// long runs while bounding memory.
@@ -37,55 +32,44 @@ fn write_trace(path: &str, trace: &TraceBuffer) -> Result<(), String> {
     Ok(())
 }
 
-/// Converts parsed CLI utility specs to the shared data-path form.
-fn to_params(specs: &[UtilitySpec]) -> Vec<UtilityParam> {
-    specs
-        .iter()
-        .map(|s| UtilityParam {
-            family: s.family.clone(),
-            a: s.a,
-            b: s.b,
-        })
-        .collect()
+/// `greednet nash|simulate|table|protect|largen`: computes the parsed
+/// scenario and prints it, with the `--trace` file and `--metrics`
+/// report where the command has them.
+pub fn scenario(kind: RequestKind, trace: Option<&str>, metrics: bool) -> Result<(), String> {
+    let text = match kind {
+        RequestKind::Nash(spec) => return nash(&spec, trace),
+        RequestKind::Simulate(spec) => return simulate(&spec, trace, metrics),
+        RequestKind::Table(spec) => spec.outcome().render_text(),
+        RequestKind::Protect(spec) => spec.outcome().map_err(|e| e.to_string())?.render_text(),
+        RequestKind::Largen(spec) => spec.solve().map_err(|e| e.to_string())?.render_text(),
+        _ => return Err("not a scenario command".into()),
+    };
+    print!("{text}");
+    Ok(())
 }
 
-/// `greednet nash`.
-pub fn nash(a: NashArgs) -> Result<(), String> {
-    let spec = NashSpec {
-        discipline: a.discipline.clone(),
-        users: to_params(&a.users),
-    };
-    let mut trace = a.trace.as_ref().map(|_| TraceBuffer::new(TRACE_CAP));
-    let out = match trace.as_mut() {
+fn nash(spec: &NashSpec, trace: Option<&str>) -> Result<(), String> {
+    let mut buffer = trace.map(|_| TraceBuffer::new(TRACE_CAP));
+    let out = match buffer.as_mut() {
         Some(t) => spec.solve_probed(t),
         None => spec.solve(),
     }
     .map_err(|e| e.to_string())?;
     print!("{}", out.render_text());
-    if let (Some(path), Some(t)) = (&a.trace, &trace) {
+    if let (Some(path), Some(t)) = (trace, &buffer) {
         write_trace(path, t)?;
     }
     Ok(())
 }
 
-/// `greednet simulate`.
-pub fn simulate(a: SimulateArgs) -> Result<(), String> {
-    let spec = SimulateSpec {
-        rates: a.rates.clone(),
-        discipline: a.discipline.clone(),
-        horizon: a.horizon,
-        warmup: a.warmup,
-        windows: a.windows,
-        seed: a.seed,
-        service: a.service.clone(),
-    };
+fn simulate(spec: &SimulateSpec, trace: Option<&str>, metrics: bool) -> Result<(), String> {
     // With --trace/--metrics the run is probed; the probe only observes,
     // so every reported number matches the unprobed run bitwise.
     let mut telemetry = None;
-    let out = if a.trace.is_some() || a.metrics {
+    let out = if trace.is_some() || metrics {
         let mut probe = (
             TraceBuffer::new(TRACE_CAP),
-            MetricsProbe::new(a.rates.len()),
+            MetricsProbe::new(spec.rates.len()),
         );
         let out = spec.outcome_probed(&mut probe);
         telemetry = Some(probe);
@@ -95,49 +79,14 @@ pub fn simulate(a: SimulateArgs) -> Result<(), String> {
     }
     .map_err(|e| e.to_string())?;
     print!("{}", out.render_text());
-    if let Some((trace, probe)) = telemetry {
-        if let Some(path) = &a.trace {
-            write_trace(path, &trace)?;
+    if let Some((buffer, probe)) = telemetry {
+        if let Some(path) = trace {
+            write_trace(path, &buffer)?;
         }
-        if a.metrics {
+        if metrics {
             print!("{}", probe.metrics().to_text());
         }
     }
-    Ok(())
-}
-
-/// `greednet table`.
-pub fn table(a: TableArgs) -> Result<(), String> {
-    print!("{}", TableSpec { rates: a.rates }.outcome().render_text());
-    Ok(())
-}
-
-/// `greednet protect`.
-pub fn protect(a: ProtectArgs) -> Result<(), String> {
-    let out = ProtectSpec {
-        n: a.n,
-        victim: a.victim,
-        discipline: a.discipline,
-    }
-    .outcome()
-    .map_err(|e| e.to_string())?;
-    print!("{}", out.render_text());
-    Ok(())
-}
-
-/// `greednet largen`.
-pub fn largen(a: LargenArgs) -> Result<(), String> {
-    let out = LargenSpec {
-        discipline: a.discipline,
-        n: a.n,
-        classes: to_params(&a.classes),
-        weights: a.weights,
-        seed: a.seed,
-        threads: a.threads,
-    }
-    .solve()
-    .map_err(|e| e.to_string())?;
-    print!("{}", out.render_text());
     Ok(())
 }
 
@@ -229,101 +178,39 @@ pub fn exp(a: ExpCmdArgs) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{parse, run};
 
-    #[test]
-    fn serve_command_stdio_contract_is_exercised_via_service() {
-        // The serve command itself blocks on stdin; its data path is the
-        // Service type, which the serve crate tests end-to-end. Here we
-        // only pin the wrapper's option plumbing.
-        let service = Service::new(ServeOptions {
-            threads: 2,
-            cache_capacity: 8,
-        });
-        let mut out = Vec::new();
-        service
-            .serve_stream(
-                "{\"kind\":\"table\",\"id\":\"t\",\"rates\":[0.05,0.1,0.2]}\n".as_bytes(),
-                &mut out,
-            )
-            .unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("\"type\":\"result\""), "{text}");
-    }
-
-    #[test]
-    fn nash_command_end_to_end() {
-        let args = NashArgs {
-            discipline: "fs".into(),
-            users: vec![
-                UtilitySpec {
-                    family: "log".into(),
-                    a: 0.5,
-                    b: 1.0,
-                },
-                UtilitySpec {
-                    family: "linear".into(),
-                    a: 1.0,
-                    b: 0.4,
-                },
-            ],
-            trace: None,
-        };
-        nash(args).unwrap();
-    }
-
-    fn sim_args() -> SimulateArgs {
-        SimulateArgs {
-            rates: vec![0.2, 0.1],
-            discipline: "fs".into(),
-            horizon: 3000.0,
-            warmup: None,
-            windows: None,
-            seed: 5,
-            service: "M".into(),
-            trace: None,
-            metrics: false,
-        }
-    }
-
-    #[test]
-    fn simulate_command_end_to_end() {
-        simulate(sim_args()).unwrap();
+    /// Parses and runs a command line: the words of `line`, then `tail`.
+    fn run_line(line: &str, tail: &[&str]) -> Result<(), String> {
+        let args: Vec<String> = line
+            .split_whitespace()
+            .chain(tail.iter().copied())
+            .map(String::from)
+            .collect();
+        run(parse(&args).unwrap())
     }
 
     #[test]
     fn simulate_with_telemetry_and_explicit_stats_windows() {
         let path = std::env::temp_dir().join("greednet_cli_cmd_trace.jsonl");
-        let mut args = sim_args();
-        args.warmup = Some(200.0);
-        args.windows = Some(8);
-        args.trace = Some(path.to_string_lossy().into_owned());
-        args.metrics = true;
-        simulate(args).unwrap();
+        let path_s = path.to_string_lossy().into_owned();
+        let line = "simulate --rates 0.2,0.1 --horizon 3000 --seed 5 --warmup 200 --windows 8 --metrics --trace";
+        run_line(line, &[&path_s]).unwrap();
         let body = std::fs::read_to_string(&path).unwrap();
         assert!(body.lines().count() > 10);
         assert!(body.lines().all(|l| l.starts_with('{') && l.ends_with('}')));
         std::fs::remove_file(&path).ok();
 
         // Invalid window counts surface the simulator's validation error.
-        let mut bad = sim_args();
-        bad.windows = Some(2);
-        let err = simulate(bad).unwrap_err();
+        let err = run_line("simulate --rates 0.2,0.1 --horizon 3000 --windows 2", &[]).unwrap_err();
         assert!(err.contains("at least 4 windows"), "{err}");
     }
 
     #[test]
     fn nash_command_writes_solver_trace() {
         let path = std::env::temp_dir().join("greednet_cli_nash_trace.jsonl");
-        let args = NashArgs {
-            discipline: "fs".into(),
-            users: vec![UtilitySpec {
-                family: "log".into(),
-                a: 0.5,
-                b: 1.0,
-            }],
-            trace: Some(path.to_string_lossy().into_owned()),
-        };
-        nash(args).unwrap();
+        let path_s = path.to_string_lossy().into_owned();
+        run_line("nash --users log:0.5,1.0 --trace", &[&path_s]).unwrap();
         let body = std::fs::read_to_string(&path).unwrap();
         assert!(body.contains("best_response"), "{body}");
         std::fs::remove_file(&path).ok();
@@ -350,78 +237,22 @@ mod tests {
 
     #[test]
     fn largen_command_end_to_end() {
-        let args = LargenArgs {
-            discipline: "fs".into(),
-            n: 1_000,
-            classes: vec![
-                UtilitySpec {
-                    family: "log".into(),
-                    a: 0.6,
-                    b: 1.0,
-                },
-                UtilitySpec {
-                    family: "log".into(),
-                    a: 0.4,
-                    b: 1.0,
-                },
-            ],
-            weights: vec![3.0, 1.0],
-            seed: 1,
-            threads: 2,
-        };
-        largen(args).unwrap();
-        // Continuum mode (n = 0) and validation errors surface cleanly.
-        largen(LargenArgs {
-            discipline: "fifo".into(),
-            n: 0,
-            classes: vec![UtilitySpec {
-                family: "log".into(),
-                a: 0.5,
-                b: 1.0,
-            }],
-            weights: Vec::new(),
-            seed: 1,
-            threads: 1,
-        })
+        let classes = "--classes log:0.6,1.0;log:0.4,1.0";
+        run_line(
+            &format!("largen --n 1000 {classes} --weights 3,1 --threads 2"),
+            &[],
+        )
         .unwrap();
-        assert!(largen(LargenArgs {
-            discipline: "fs".into(),
-            n: 100,
-            classes: vec![UtilitySpec {
-                family: "log".into(),
-                a: 0.5,
-                b: 1.0,
-            }],
-            weights: vec![1.0, 2.0],
-            seed: 1,
-            threads: 1,
-        })
-        .is_err());
+        // Continuum mode (n = 0) and validation errors surface cleanly.
+        run_line("largen --discipline fifo --n 0 --classes log:0.5,1.0", &[]).unwrap();
+        assert!(run_line("largen --n 100 --classes log:0.5,1.0 --weights 1,2", &[]).is_err());
     }
 
     #[test]
     fn table_and_protect_end_to_end() {
-        table(TableArgs {
-            rates: vec![0.05, 0.1, 0.2],
-        })
-        .unwrap();
-        protect(ProtectArgs {
-            n: 4,
-            victim: 0.1,
-            discipline: "fs".into(),
-        })
-        .unwrap();
-        assert!(protect(ProtectArgs {
-            n: 0,
-            victim: 0.1,
-            discipline: "fs".into()
-        })
-        .is_err());
-        assert!(protect(ProtectArgs {
-            n: 4,
-            victim: 2.0,
-            discipline: "fs".into()
-        })
-        .is_err());
+        run_line("table --rates 0.05,0.1,0.2", &[]).unwrap();
+        run_line("protect", &[]).unwrap();
+        assert!(run_line("protect --n 0", &[]).is_err());
+        assert!(run_line("protect --victim 2", &[]).is_err());
     }
 }

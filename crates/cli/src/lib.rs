@@ -14,6 +14,7 @@
 //!   with the Theorem 8 bound;
 //! * `largen` — solve the large-N (or continuum) mean-field equilibrium
 //!   for a K-class population (see `greednet_largen`);
+//! * `network` — solve the parking-lot network equilibrium;
 //! * `exp` — run (or list) the paper-reproduction experiments from the
 //!   central registry, with `--seed/--threads/--json/--csv/--smoke`;
 //! * `serve` — the long-running scenario service: JSONL requests over
@@ -39,12 +40,12 @@ pub use args::{parse, Command, ParseError};
 /// failure.
 pub fn run(cmd: Command) -> Result<(), String> {
     match cmd {
-        Command::Nash(a) => commands::nash(a),
-        Command::Simulate(a) => commands::simulate(a),
-        Command::Table(a) => commands::table(a),
-        Command::Protect(a) => commands::protect(a),
+        Command::Scenario {
+            kind,
+            trace,
+            metrics,
+        } => commands::scenario(kind, trace.as_deref(), metrics),
         Command::Network(a) => commands::network(a),
-        Command::Largen(a) => commands::largen(a),
         Command::Exp(a) => commands::exp(a),
         Command::Serve(a) => commands::serve(a),
         Command::Help => {

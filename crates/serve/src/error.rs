@@ -10,8 +10,9 @@ use std::fmt;
 ///   not a valid request shape; the client must fix the request syntax.
 /// * [`BadRequest`](ServeError::BadRequest) — the request parsed but its
 ///   semantics are invalid (unknown discipline, out-of-range parameter,
-///   unknown experiment id); the message is the same text the CLI
-///   commands print for the equivalent flag error.
+///   unknown experiment id). The CLI's scenario commands parse their
+///   flags with the same field walk and print the same message, naming
+///   the field `--name` where the wire names it `"name"`.
 /// * [`Io`](ServeError::Io) — the transport failed (socket, stdin); the
 ///   operator must act.
 ///

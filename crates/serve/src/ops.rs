@@ -1,13 +1,14 @@
 //! The scenario data path: typed specs that *compute* results as data,
 //! separate from any rendering.
 //!
-//! The CLI commands (`greednet nash` / `simulate` / `table` / `protect`)
-//! and the service requests are two front-ends over these same specs:
-//! the CLI renders an outcome with `render_text` (byte-identical to the
-//! output the commands printed before this refactor — pinned by golden
-//! tests), the service renders the same outcome with `to_json`. Keeping
-//! one compute path is what makes the cache sound: a cached service
-//! payload answers exactly the computation the CLI would have done.
+//! The CLI commands (`greednet nash` / `simulate` / `table` / `protect`
+//! / `largen`) and the service requests are two front-ends over these
+//! same specs, which one field walk (`crate::request`) parses from
+//! either flags or JSON: the CLI renders an outcome with `render_text`
+//! (its bytes pinned by golden tests), the service renders the same
+//! outcome with `to_json`. Keeping one grammar and one compute path is
+//! what makes the cache sound: a cached service payload answers exactly
+//! the computation the CLI would have done.
 
 use crate::error::ServeError;
 use crate::json::Json;
@@ -44,10 +45,10 @@ pub struct UtilityParam {
 /// # Errors
 /// [`ServeError::BadRequest`] naming the unknown discipline.
 pub fn build_alloc(name: &str) -> Result<Box<dyn AllocationFunction>, ServeError> {
-    match name {
+    match canonical_alloc_name(name) {
         "fifo" => Ok(Box::new(Proportional::new())),
-        "fs" | "fairshare" | "fair-share" => Ok(Box::new(FairShare::new())),
-        "sp" | "serial" => Ok(Box::new(SerialPriority::new())),
+        "fs" => Ok(Box::new(FairShare::new())),
+        "sp" => Ok(Box::new(SerialPriority::new())),
         other => Err(ServeError::BadRequest(format!(
             "unknown discipline '{other}' (use fifo/fs/sp)"
         ))),
@@ -59,13 +60,13 @@ pub fn build_alloc(name: &str) -> Result<Box<dyn AllocationFunction>, ServeError
 /// # Errors
 /// [`ServeError::BadRequest`] naming the unknown discipline.
 pub fn build_kind(name: &str) -> Result<DisciplineKind, ServeError> {
-    Ok(match name {
+    Ok(match canonical_kind_name(name) {
         "fifo" => DisciplineKind::Fifo,
         "lifo" => DisciplineKind::LifoPreemptive,
         "ps" => DisciplineKind::ProcessorSharing,
-        "sp" | "serial" => DisciplineKind::SerialPriority,
-        "fs" | "fairshare" | "fair-share" => DisciplineKind::FsTable,
-        "sfq" | "fq" => DisciplineKind::Sfq,
+        "sp" => DisciplineKind::SerialPriority,
+        "fs" => DisciplineKind::FsTable,
+        "sfq" => DisciplineKind::Sfq,
         other => {
             return Err(ServeError::BadRequest(format!(
                 "unknown discipline '{other}' (use fifo/lifo/ps/sp/fs/sfq)"
@@ -86,14 +87,13 @@ pub fn canonical_alloc_name(name: &str) -> &str {
     }
 }
 
-/// Resolves simulator-discipline aliases to the canonical short name.
+/// Resolves simulator-discipline aliases to the canonical short name:
+/// the allocation aliases, plus `fq` for `sfq`.
 #[must_use]
 pub fn canonical_kind_name(name: &str) -> &str {
     match name {
-        "fairshare" | "fair-share" => "fs",
-        "serial" => "sp",
         "fq" => "sfq",
-        other => other,
+        other => canonical_alloc_name(other),
     }
 }
 

@@ -21,7 +21,10 @@
 //!
 //! Unknown fields are rejected (a typo'd field silently falling back to
 //! its default would poison the cache key contract), and every omitted
-//! field is filled with the same default the CLI uses.
+//! field is filled with the walk's default. The CLI's scenario commands
+//! are parsed by the same walk ([`RequestKind::from_flags`]): the flag
+//! `--name value` is the field `name`, so the CLI has no grammar or
+//! defaults of its own.
 //!
 //! Each spec lists its wire fields once, in a field walk that parsing and
 //! the cache key both run. A field the wire can set is therefore keyed,
@@ -54,12 +57,11 @@ use crate::ops::{
 use greednet_des::{DEFAULT_WARMUP_FRACTION, DEFAULT_WINDOWS};
 use greednet_numerics::conv::{f64_to_u64, f64_to_usize};
 
-/// Default utility profile, identical to `greednet nash`'s `--users`
-/// default.
-pub const DEFAULT_USERS: &str = "log:0.5,1.0;log:1.0,1.0;linear:1.0,0.3";
+/// Default utility profile of `nash`.
+const DEFAULT_USERS: &str = "log:0.5,1.0;log:1.0,1.0;linear:1.0,0.3";
 
 /// Default large-N class profile, identical to experiment E17's.
-pub const DEFAULT_CLASSES: &str = "log:0.6,1.0;log:0.5,1.0;log:0.4,1.0";
+const DEFAULT_CLASSES: &str = "log:0.6,1.0;log:0.5,1.0;log:0.4,1.0";
 
 /// Largest integer exactly representable in an f64 (2^53); JSON numbers
 /// above this cannot round-trip, so integer fields reject them.
@@ -129,12 +131,7 @@ impl Request {
             )));
         }
         let kind = match kind_name.as_str() {
-            "nash" => RequestKind::Nash(read_spec(&mut fields)?),
-            "simulate" => RequestKind::Simulate(read_spec(&mut fields)?),
-            "table" => RequestKind::Table(read_spec(&mut fields)?),
-            "protect" => RequestKind::Protect(read_spec(&mut fields)?),
             "exp" => RequestKind::Exp(read_spec(&mut fields)?),
-            "largen" => RequestKind::Largen(read_spec(&mut fields)?),
             "batch" => {
                 if !allow_batch {
                     return Err(ServeError::Parse("batch requests do not nest".into()));
@@ -152,11 +149,11 @@ impl Request {
             }
             "stats" => RequestKind::Stats,
             "shutdown" => RequestKind::Shutdown,
-            other => {
-                return Err(ServeError::Parse(format!(
+            other => read_scenario(other, &mut fields)?.ok_or_else(|| {
+                ServeError::Parse(format!(
                     "unknown request kind {other:?} (use nash/simulate/table/protect/exp/largen/batch/stats/shutdown)"
-                )))
-            }
+                ))
+            })?,
         };
         fields.finish()?;
         Ok(Request { id, kind })
@@ -164,6 +161,23 @@ impl Request {
 }
 
 impl RequestKind {
+    /// Parses a scenario kind (`nash`, `simulate`, `table`, `protect` or
+    /// `largen`) from command-line flags. Each `(name, text)` pair is the
+    /// wire field `name`, so the result is the spec that the wire request
+    /// with those fields parses to. A number field reads its text as a
+    /// number, and `rates` and `weights` as a `,`-separated number list.
+    ///
+    /// # Errors
+    /// The error the wire request gets, naming its field `--name` instead
+    /// of `"name"`; [`ServeError::Parse`] for any other kind.
+    pub fn from_flags(kind: &str, flags: &[(String, String)]) -> Result<RequestKind, ServeError> {
+        let mut fields = Fields::from_flags(flags);
+        let spec = read_scenario(kind, &mut fields)?
+            .ok_or_else(|| ServeError::Parse(format!("{kind:?} is not a scenario kind")))?;
+        fields.finish()?;
+        Ok(spec)
+    }
+
     /// The canonical form of a cacheable request: the kind tag plus every
     /// keyed field of the spec's walk, defaults filled, aliases resolved,
     /// client id excluded. Non-cacheable kinds (`batch`, `stats`,
@@ -221,6 +235,18 @@ enum Walk<'a> {
     Read(&'a mut Fields, &'a mut Option<ServeError>),
     /// Append each keyed field's canonical value, in walk order.
     Key(&'a mut Vec<(String, Json)>),
+}
+
+/// Reads the spec of a scenario kind; `None` when `kind` names none.
+fn read_scenario(kind: &str, fields: &mut Fields) -> Result<Option<RequestKind>, ServeError> {
+    Ok(Some(match kind {
+        "nash" => RequestKind::Nash(read_spec(fields)?),
+        "simulate" => RequestKind::Simulate(read_spec(fields)?),
+        "table" => RequestKind::Table(read_spec(fields)?),
+        "protect" => RequestKind::Protect(read_spec(fields)?),
+        "largen" => RequestKind::Largen(read_spec(fields)?),
+        _ => return Ok(None),
+    }))
 }
 
 /// Parses a spec by walking its fields over the request object.
@@ -447,6 +473,9 @@ fn weights_json(weights: &[f64], classes: usize) -> Json {
 struct Fields {
     pairs: Vec<(String, Json)>,
     taken: Vec<bool>,
+    /// The values are command-line flag text, each a [`Json::Str`] until
+    /// a number reader converts it.
+    flags: bool,
 }
 
 impl Fields {
@@ -454,7 +483,30 @@ impl Fields {
         Fields {
             pairs: pairs.to_vec(),
             taken: vec![false; pairs.len()],
+            flags: false,
         }
+    }
+
+    fn from_flags(flags: &[(String, String)]) -> Fields {
+        let text = |(k, v): &(String, String)| (k.clone(), Json::Str(v.clone()));
+        let mut fields = Fields::new(&flags.iter().map(text).collect::<Vec<_>>());
+        fields.flags = true;
+        fields
+    }
+
+    /// How a message names field `key`: `"key"` on the wire, `--key` on
+    /// the command line.
+    fn name(&self, key: &str) -> String {
+        if self.flags {
+            format!("--{key}")
+        } else {
+            format!("\"{key}\"")
+        }
+    }
+
+    /// The error for field `key` holding something other than `what`.
+    fn expected(&self, key: &str, what: &str) -> ServeError {
+        ServeError::Parse(format!("{} must be {what}", self.name(key)))
     }
 
     fn take(&mut self, key: &str) -> Option<Json> {
@@ -467,11 +519,24 @@ impl Fields {
         None
     }
 
+    /// Takes a number field, or with `list` a number-array field. Flag
+    /// text becomes what the wire would send: a number, or the numbers
+    /// between its commas. Text that is not a finite number stays a
+    /// string, so the reader rejects it as it rejects a string on the wire.
+    fn take_num(&mut self, key: &str, list: bool) -> Option<Json> {
+        let v = self.take(key)?;
+        Some(match v {
+            Json::Str(s) if self.flags && list => Json::Arr(s.split(',').map(number).collect()),
+            Json::Str(s) if self.flags => number(&s),
+            v => v,
+        })
+    }
+
     fn take_str(&mut self, key: &str) -> Result<Option<String>, ServeError> {
         match self.take(key) {
             None => Ok(None),
             Some(Json::Str(s)) => Ok(Some(s)),
-            Some(_) => Err(ServeError::Parse(format!("\"{key}\" must be a string"))),
+            Some(_) => Err(self.expected(key, "a string")),
         }
     }
 
@@ -479,15 +544,15 @@ impl Fields {
         match self.take(key) {
             None => Ok(None),
             Some(Json::Bool(b)) => Ok(Some(b)),
-            Some(_) => Err(ServeError::Parse(format!("\"{key}\" must be a boolean"))),
+            Some(_) => Err(self.expected(key, "a boolean")),
         }
     }
 
     fn take_f64(&mut self, key: &str) -> Result<Option<f64>, ServeError> {
-        match self.take(key) {
+        match self.take_num(key, false) {
             None => Ok(None),
             Some(Json::Num(x)) => Ok(Some(x)),
-            Some(_) => Err(ServeError::Parse(format!("\"{key}\" must be a number"))),
+            Some(_) => Err(self.expected(key, "a number")),
         }
     }
 
@@ -496,7 +561,8 @@ impl Fields {
         match self.take_f64(key)? {
             Some(x) if !(x >= 0.0 && x.fract() == 0.0 && x < MAX_SAFE_INT) => {
                 Err(ServeError::BadRequest(format!(
-                    "\"{key}\" must be a non-negative integer below 2^53"
+                    "{} must be a non-negative integer below 2^53",
+                    self.name(key)
                 )))
             }
             x => Ok(x),
@@ -511,60 +577,57 @@ impl Fields {
         Ok(self.take_int(key)?.map(f64_to_usize))
     }
 
-    /// A required rate list: non-empty array of finite, non-negative
-    /// numbers (the same constraint the CLI's `--rates` parser applies).
+    /// A required rate list: a non-empty array of finite, non-negative
+    /// numbers.
     fn take_rates(&mut self, key: &str) -> Result<Vec<f64>, ServeError> {
-        let Some(value) = self.take(key) else {
+        let name = self.name(key);
+        let Some(value) = self.take_num(key, true) else {
             return Err(ServeError::Parse(format!(
-                "this request kind requires a \"{key}\" array"
+                "this request kind requires a {name} array"
             )));
         };
         let Json::Arr(items) = value else {
-            return Err(ServeError::Parse(format!(
-                "\"{key}\" must be an array of numbers"
-            )));
+            return Err(self.expected(key, "an array of numbers"));
         };
         let rates = numbers(
             &items,
             |x| x >= 0.0,
-            || format!("\"{key}\" entries must be finite numbers >= 0"),
+            || format!("{name} entries must be finite numbers >= 0"),
         )?;
         if rates.is_empty() {
-            return Err(ServeError::BadRequest(format!(
-                "\"{key}\" must not be empty"
-            )));
+            return Err(ServeError::BadRequest(format!("{name} must not be empty")));
         }
         Ok(rates)
     }
 
     /// Optional class weights: finite numbers > 0, empty when absent.
     fn take_weights(&mut self, key: &str) -> Result<Vec<f64>, ServeError> {
-        match self.take(key) {
+        let name = self.name(key);
+        match self.take_num(key, true) {
             None => Ok(Vec::new()),
             Some(Json::Arr(items)) => numbers(
                 &items,
                 |x| x > 0.0,
-                || format!("\"{key}\" entries must be finite numbers > 0"),
+                || format!("{name} entries must be finite numbers > 0"),
             ),
-            Some(_) => Err(ServeError::Parse(format!(
-                "\"{key}\" must be an array of numbers"
-            ))),
+            Some(_) => Err(self.expected(key, "an array of numbers")),
         }
     }
 
-    /// A utility list in the CLI's `family:a,b;...` string form or as an
-    /// array of `{family,a,b}` objects, parsed from `default` (string
-    /// form) when absent. Both forms trim and lower-case each family
-    /// here, so they key alike.
+    /// A utility list in the `family:a,b;...` string form or as an array
+    /// of `{family,a,b}` objects, parsed from `default` (string form) when
+    /// absent. Both forms trim and lower-case each family here, so they
+    /// key alike.
     fn take_users(&mut self, key: &str, default: &str) -> Result<Vec<UtilityParam>, ServeError> {
         let mut users = match self.take(key) {
             None => parse_users(default)?,
             Some(Json::Str(s)) => parse_users(&s)?,
             Some(Json::Arr(items)) => parse_users_array(&items)?,
             Some(_) => {
-                return Err(ServeError::Parse(format!(
-                    "\"{key}\" must be a \"family:a,b;...\" string or an array of {{family,a,b}} objects"
-                )))
+                return Err(self.expected(
+                    key,
+                    "a \"family:a,b;...\" string or an array of {family,a,b} objects",
+                ))
             }
         };
         for u in &mut users {
@@ -576,10 +639,19 @@ impl Fields {
     fn finish(self) -> Result<(), ServeError> {
         for (i, (k, _)) in self.pairs.iter().enumerate() {
             if !self.taken[i] {
-                return Err(ServeError::Parse(format!("unknown field \"{k}\"")));
+                return Err(ServeError::Parse(format!("unknown field {}", self.name(k))));
             }
         }
         Ok(())
+    }
+}
+
+/// Flag text as the number it reads as, if that is finite; otherwise as
+/// the string it is.
+fn number(text: &str) -> Json {
+    match text.trim().parse::<f64>() {
+        Ok(x) if x.is_finite() => Json::Num(x),
+        _ => Json::Str(text.to_string()),
     }
 }
 
@@ -599,7 +671,7 @@ fn numbers(
         .collect()
 }
 
-/// Parses the CLI's `family:a,b;family:a,b` utility syntax.
+/// Parses the `family:a,b;family:a,b` utility string.
 fn parse_users(s: &str) -> Result<Vec<UtilityParam>, ServeError> {
     let mut out = Vec::new();
     for part in s.split(';') {

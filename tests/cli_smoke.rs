@@ -5,7 +5,7 @@ use std::process::Command;
 
 /// Runs the CLI through `cargo run -p greednet-cli` so the test does not
 /// depend on artifact layout.
-fn run_cli(args: &[&str]) -> (bool, String, String) {
+fn cli_output(args: &[&str]) -> std::process::Output {
     let mut cmd = Command::new(env!("CARGO"));
     cmd.arg("run")
         .arg("--quiet")
@@ -13,7 +13,11 @@ fn run_cli(args: &[&str]) -> (bool, String, String) {
         .arg("greednet-cli")
         .arg("--");
     cmd.args(args);
-    let out = cmd.output().expect("failed to launch cargo run");
+    cmd.output().expect("failed to launch cargo run")
+}
+
+fn run_cli(args: &[&str]) -> (bool, String, String) {
+    let out = cli_output(args);
     (
         out.status.success(),
         String::from_utf8_lossy(&out.stdout).to_string(),
@@ -147,4 +151,16 @@ fn bad_input_exits_nonzero_with_message() {
     let (ok, _, stderr) = run_cli(&["simulate"]);
     assert!(!ok);
     assert!(stderr.contains("--rates"));
+
+    // A misspelt option is a usage error that names it, never a run on
+    // the default it failed to set.
+    for args in [
+        &["simulate", "--rates", "0.2,0.1", "--horizn", "3000"][..],
+        &["network", "--switch", "5"][..],
+    ] {
+        let out = cli_output(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(args[args.len() - 2]), "{args:?}: {stderr}");
+    }
 }
