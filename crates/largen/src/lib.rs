@@ -10,10 +10,14 @@
 //!
 //! - **share-scale variables** `x = N·r`, `Φ = N·C`, aggregate load
 //!   `R = (1/N)·Σ x_i`, so equilibria have a well-defined limit;
+//! - an **order-free load sum** — every aggregate load is one binned sum
+//!   rounded once (correctly rounded for loads of similar users), so it
+//!   has the same bits in any order;
 //! - a **sorted-prefix congestion profile** — Fair Share for the whole
 //!   population in `O(N log N)` per sweep, built in one place and
 //!   searched from each deviator's own rank, so a Newton probe `d` ranks
-//!   away costs `O(log d)`;
+//!   away costs `O(log d)`; FIFO needs only the load and each user's own
+//!   rate, so its sweep skips the sort and costs `O(N)`;
 //! - a **safeguarded Newton best response** per user/class against the
 //!   frozen previous iterate, damped Jacobi outside.
 //!
@@ -36,4 +40,6 @@ pub mod model;
 
 pub use finite::{solve_finite, solve_finite_probed, FiniteSolution};
 pub use meanfield::{solve_mean_field, solve_mean_field_probed, MeanFieldSolution};
-pub use model::{apportion, ClassSpec, LargenDiscipline, LargenError, SolveOptions, SFQ_BETA};
+pub use model::{
+    apportion, weight_fractions, ClassSpec, LargenDiscipline, LargenError, SolveOptions, SFQ_BETA,
+};

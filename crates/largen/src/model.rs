@@ -229,13 +229,28 @@ pub(crate) fn validate(
             }
         }
     }
-    let total: f64 = classes.iter().map(|s| s.weight).sum();
-    Ok(classes.iter().map(|s| s.weight / total).collect())
+    let raw: Vec<f64> = classes.iter().map(|s| s.weight).collect();
+    Ok(weight_fractions(&raw))
 }
 
-/// Splits a population of `n` users across classes by normalized weight:
-/// `floor(w_c·n)` each, remainder distributed one user at a time to the
-/// first classes in order.
+/// Each weight divided by the weights' sum. A sum that overflows is taken
+/// after dividing every weight by the largest, so weights near
+/// `f64::MAX` get the fractions of their ratios; a finite sum keeps the
+/// plain division, bit for bit.
+#[must_use]
+pub fn weight_fractions(weights: &[f64]) -> Vec<f64> {
+    let mut scale = 1.0;
+    let mut total: f64 = weights.iter().sum();
+    if !total.is_finite() {
+        scale = weights.iter().fold(0.0, |m: f64, &w| m.max(w));
+        total = weights.iter().map(|w| w / scale).sum();
+    }
+    weights.iter().map(|w| w / scale / total).collect()
+}
+
+/// Splits a population of `n` users across classes by normalized weight
+/// (see [`weight_fractions`]): `floor(w_c·n)` each, remainder distributed
+/// one user at a time to the first classes in order.
 ///
 /// The remainder rule is deliberate: for fixed weights the class-fraction
 /// deviation from `w_c` keeps the same sign at every `n` (the first
@@ -247,10 +262,9 @@ pub fn apportion(n: u64, weights: &[f64]) -> Vec<u64> {
     if weights.is_empty() {
         return Vec::new();
     }
-    let total: f64 = weights.iter().sum();
-    let mut counts: Vec<u64> = weights
+    let mut counts: Vec<u64> = weight_fractions(weights)
         .iter()
-        .map(|&w| conv::f64_to_u64((w / total * n as f64).floor()))
+        .map(|&w| conv::f64_to_u64((w * n as f64).floor()))
         .collect();
     let assigned: u64 = counts.iter().sum();
     let remainder = n.saturating_sub(assigned);
@@ -294,6 +308,41 @@ mod tests {
             let counts = apportion(n, &[0.6, 0.5, 0.4]);
             assert_eq!(counts.iter().sum::<u64>(), n);
         }
+    }
+
+    #[test]
+    fn overflowing_weight_sums_solve_like_their_ratios() {
+        use crate::{solve_finite, solve_mean_field};
+        assert_eq!(weight_fractions(&[1e308, 1e308]), vec![0.5, 0.5]);
+        assert_eq!(
+            weight_fractions(&[f64::MAX, 1.0]),
+            vec![1.0, 1.0 / f64::MAX]
+        );
+        assert_eq!(apportion(1001, &[1e308, 1e308]), vec![501, 500]);
+        let classes = |w: f64| {
+            vec![
+                ClassSpec::new(LogUtility::new(0.6, 1.0).boxed(), w),
+                ClassSpec::new(LogUtility::new(0.4, 1.0).boxed(), w),
+            ]
+        };
+        let opts = SolveOptions::default();
+        let disc = LargenDiscipline::FairShare;
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let [a, b] =
+            [1.0, 1e308].map(|w| solve_mean_field(disc, &classes(w), &opts).expect("solves"));
+        assert_eq!(bits(&[a.load, a.residual]), bits(&[b.load, b.residual]));
+        assert_eq!(
+            (bits(&a.x), bits(&a.phi), a.steps),
+            (bits(&b.x), bits(&b.phi), b.steps)
+        );
+        let [a, b] = [1.0, 1e308]
+            .map(|w| solve_finite(disc, &classes(w), 1000, 1, 1, &opts).expect("solves"));
+        assert_eq!(bits(&[a.load, a.residual]), bits(&[b.load, b.residual]));
+        assert_eq!(
+            (bits(&a.class_x), bits(&a.class_phi)),
+            (bits(&b.class_x), bits(&b.class_phi))
+        );
+        assert_eq!((&a.class_counts, a.sweeps), (&b.class_counts, b.sweeps));
     }
 
     #[test]

@@ -14,6 +14,13 @@
 //!   `N = 2000`, seed 1, load ≈ 0.97, where Fair Share Newton iterates
 //!   roam farthest from the deviator's rank.
 //!
+//! The six `finite` rows were re-pinned once, when the aggregate load
+//! became the order-free `load_sum` (the correctly rounded sum) instead
+//! of a plain sum in sorted order. The load moved by a few ulps, which
+//! nudged the FIFO Newton paths and the Fair Share/SFQ capacity caps;
+//! every row kept its sweep count (37, 35, 37, 57, 38, 38) and its
+//! convergence, and no `continuum` row moved.
+//!
 //! A mismatch prints the whole table of fresh words; re-pin only for a
 //! deliberate change of solver semantics, and say why.
 
@@ -136,14 +143,14 @@ const LOG_GOLDENS: &[(&str, &[u64])] = &[
         &[
             0x0000000000000025,
             0x0000000000000001,
-            0x3d6a130000000000,
-            0x3fd554f40c2f1a5b,
-            0x3fd99884a94cd43f,
-            0x3fd5549d1b401e89,
-            0x3fd110a2ef344e07,
-            0x3fe33237b9e5d00d,
-            0x3fdffea2b51ff00b,
-            0x3fd998ba09b54501,
+            0x3d69df8000000000,
+            0x3fd554f40c2f1af8,
+            0x3fd99884a94cd444,
+            0x3fd5549d1b401e8c,
+            0x3fd110a2ef344e10,
+            0x3fe33237b9e5d048,
+            0x3fdffea2b51ff045,
+            0x3fd998ba09b5453a,
             0x00000000000003e9,
             0x00000000000003e8,
             0x00000000000003e8,
@@ -170,7 +177,7 @@ const LOG_GOLDENS: &[(&str, &[u64])] = &[
             0x0000000000000023,
             0x0000000000000001,
             0x3d70316000000000,
-            0x3fd19275d59f96fb,
+            0x3fd19275d59f96a1,
             0x3fd4355142065427,
             0x3fd1806576766e1e,
             0x3fce01fc09e4930a,
@@ -203,7 +210,7 @@ const LOG_GOLDENS: &[(&str, &[u64])] = &[
             0x0000000000000025,
             0x0000000000000001,
             0x3d6bff4000000000,
-            0x3fcde8b2f923aa63,
+            0x3fcde8b2f923a9f6,
             0x3fd16eb38808fa15,
             0x3fcdd31140fb4107,
             0x3fc9085bd09d8b73,
@@ -238,10 +245,10 @@ const HEAVY_GOLDENS: &[(&str, &[u64])] = &[
         &[
             0x0000000000000039,
             0x0000000000000001,
-            0x3e5b3d43a4000000,
-            0x3feff4d325247f5e,
-            0x3feff4d325248001,
-            0x4086e0680d29fdaf,
+            0x3e5b3b8d62000000,
+            0x3feff4d325247ea2,
+            0x3feff4d325247f97,
+            0x4086e0680d287aba,
             0x00000000000007d0,
         ],
     ),
@@ -261,10 +268,10 @@ const HEAVY_GOLDENS: &[(&str, &[u64])] = &[
         &[
             0x0000000000000026,
             0x0000000000000001,
-            0x3e6805d810000000,
-            0x3fef010284dd6dba,
-            0x3fef010284dd6da7,
-            0x403f20715ec5fb43,
+            0x3e6805d8a4000000,
+            0x3fef010284dd6dae,
+            0x3fef010284dd6daa,
+            0x403f20715ec5fbec,
             0x00000000000007d0,
         ],
     ),
@@ -284,10 +291,10 @@ const HEAVY_GOLDENS: &[(&str, &[u64])] = &[
         &[
             0x0000000000000026,
             0x0000000000000001,
-            0x3e6b25fe42000000,
-            0x3fef00f2f3c84c9b,
-            0x3fef00f2f3c84c92,
-            0x403f9a7f3287063e,
+            0x3e6b253eca000000,
+            0x3fef00f2f3c84c8e,
+            0x3fef00f2f3c84ca0,
+            0x403f9a7f32870429,
             0x00000000000007d0,
         ],
     ),

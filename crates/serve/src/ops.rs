@@ -19,7 +19,9 @@ use greednet_core::utility::{
 };
 use greednet_des::scenarios::DisciplineKind;
 use greednet_des::{Engine, EngineConfig, ServiceDist, SimTime};
-use greednet_largen::{solve_finite, solve_mean_field, ClassSpec, LargenDiscipline, SolveOptions};
+use greednet_largen::{
+    solve_finite, solve_mean_field, weight_fractions, ClassSpec, LargenDiscipline, SolveOptions,
+};
 use greednet_queueing::alloc::AllocationFunction;
 use greednet_queueing::fair_share::priority_table;
 use greednet_queueing::{FairShare, Proportional, SerialPriority};
@@ -784,8 +786,7 @@ impl LargenSpec {
                 "weights must be finite and > 0".into(),
             ));
         }
-        let sum: f64 = raw.iter().sum();
-        Ok(raw.iter().map(|w| w / sum).collect())
+        Ok(weight_fractions(&raw))
     }
 
     /// Solves the equilibrium (finite engine for `n >= 1`, mean-field
@@ -1091,6 +1092,37 @@ mod tests {
         }
         .outcome()
         .is_err());
+    }
+
+    #[test]
+    fn overflowing_largen_weights_answer_like_their_ratios() {
+        // Weights whose sum overflows normalize like their ratios, so the
+        // CLI text and the service payload match `[1, 1]` byte for byte.
+        for n in [1000, 0] {
+            let answer = |weights: Vec<f64>| {
+                let spec = LargenSpec {
+                    discipline: "fs".into(),
+                    n,
+                    classes: [0.6, 0.4]
+                        .map(|a| UtilityParam {
+                            family: "log".into(),
+                            a,
+                            b: 1.0,
+                        })
+                        .to_vec(),
+                    weights,
+                    seed: 1,
+                    threads: 1,
+                };
+                let outcome = spec.solve().expect("solves");
+                (outcome.render_text(), outcome.to_json().to_compact())
+            };
+            assert_eq!(
+                answer(vec![1e308, 1e308]),
+                answer(vec![1.0, 1.0]),
+                "n = {n}"
+            );
+        }
     }
 
     #[test]
