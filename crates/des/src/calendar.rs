@@ -3,8 +3,8 @@
 //! The engine schedules *source-side* events here — the next open-loop
 //! Poisson arrival per source and in-flight closed-loop ACKs — while the
 //! bottleneck's next completion remains a *derived* event recomputed from
-//! the share vector after every state change (shares move at every event
-//! under processor-sharing-style disciplines, so a cached completion time
+//! what it serves after every state change (processor sharing's `1/k`
+//! moves at every arrival and departure, so a cached completion time
 //! would be stale the moment it was scheduled).
 //!
 //! Ordering contract (property-tested in `tests/calendar_props.rs`):

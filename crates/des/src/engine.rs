@@ -9,9 +9,10 @@
 //! schedule typed [`Cmd`]s through a [`Context`] into an [`EventList`],
 //! which the engine commits to the [`EventCalendar`] after each
 //! dispatch, in the minim style. Between events, remaining work drains
-//! from the packet the `QDisc` serves, or from every active packet at
-//! the rate its share vector assigns when the discipline splits the
-//! server.
+//! from the packet the `QDisc` serves, from every active packet at
+//! `1/k` each when it answers with an even split (processor sharing),
+//! or at the rate its share vector assigns otherwise. The bottleneck
+//! keeps remaining work packed in its own vector, beside the active set.
 //!
 //! # Event structure
 //!
@@ -20,9 +21,10 @@
 //! 1. the earliest **completion** — a *derived* event recomputed from
 //!    the bottleneck's `peek_completion` after every state change: the
 //!    served packet's completion for single-server disciplines, the
-//!    earliest under the share vector for split ones (shares move at
-//!    every event under processor sharing, so a scheduled completion
-//!    would be stale the moment it was pushed);
+//!    first packet holding the least remaining work under an even
+//!    split, the earliest under the share vector otherwise (an even
+//!    split's `1/k` moves at every arrival and departure, so a scheduled
+//!    completion would be stale the moment it was pushed);
 //! 2. the earliest **calendar command** (open-loop `Fire`s and
 //!    closed-loop `Ack`s);
 //! 3. the simulation **horizon** (a clamp, not a calendar entry).
@@ -485,8 +487,7 @@ impl Engine {
         let cfg = &self.config;
         if t_done <= t_cal {
             // Departure.
-            let mut pkt = bottleneck.depart(done_idx);
-            pkt.remaining = Work::ZERO;
+            let pkt = bottleneck.depart(done_idx);
             qdisc.on_departure(&pkt, SimTime::raw(now));
             if P::ENABLED {
                 probe.on_packet(&PacketEvent {
@@ -548,7 +549,6 @@ impl Engine {
                             user: source,
                             arrival: SimTime::raw(now),
                             size: Work::raw(size),
-                            remaining: Work::raw(size),
                         };
                         *next_id += 1;
                         o.sent += 1;
@@ -627,7 +627,6 @@ fn fill_window<P: Probe>(
             user: source,
             arrival: SimTime::raw(now),
             size: Work::raw(size),
-            remaining: Work::raw(size),
         };
         *next_id += 1;
         c.on_sent();

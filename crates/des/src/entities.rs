@@ -17,11 +17,12 @@
 //!   multiplicatively; clean ACKs grow it additively (AIMD), so the mix
 //!   self-regulates instead of offering a fixed load.
 //!
-//! The `Bottleneck` entity owns the active-packet set and what its
-//! [`QDisc`] serves: one packet, or a share vector.
-//! Its next completion is a *derived* event (recomputed from the served
-//! packet or the shares after every state change), not a calendar entry
-//! — see `crate::calendar`.
+//! The `Bottleneck` entity owns the active-packet set, each packet's
+//! remaining work (packed in its own vector, in the active set's order),
+//! and what its [`QDisc`] serves: one packet, an even split, or a share
+//! vector. Its next completion is a *derived* event (recomputed from
+//! what is served after every state change), not a calendar entry — see
+//! `crate::calendar`.
 
 use crate::error::DesError;
 use crate::qdisc::{ActivePacket, QDisc, Service};
@@ -296,12 +297,14 @@ impl SourceState {
 }
 
 /// What the bottleneck serves between two events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Served {
     /// Nothing is active.
     Idle,
     /// The packet at this index of `active` holds the whole server.
     One(usize),
+    /// Every active packet holds this share, `1 / active.len()`.
+    Even(f64),
     /// The server is split by the `shares` vector.
     Split,
 }
@@ -309,17 +312,25 @@ enum Served {
 /// Slot-index entry of a packet id that has left the system.
 const VACANT: usize = usize::MAX;
 
-/// The switch: the active-packet set, what its `QDisc` serves, per-user
-/// counts, and the ECN marking threshold.
+/// Independent running minima in the even-split completion scan, so the
+/// reduction is not one serial chain of dependent compares.
+const LANES: usize = 8;
+
+/// The switch: the active-packet set, each packet's remaining work, what
+/// its `QDisc` serves, per-user counts, and the ECN marking threshold.
 ///
 /// Packets enter through [`Bottleneck::admit`] and leave through
-/// [`Bottleneck::depart`], which keep a slot index from packet id to
-/// position in `active`. The engine numbers packets consecutively, so
-/// the index is a deque over the ids from the oldest active packet to
-/// the newest: a [`Service::One`] answer resolves in O(1).
+/// [`Bottleneck::depart`], which keep `remaining` in step with `active`
+/// and a slot index from packet id to position in `active`. The engine
+/// numbers packets consecutively, so the index is a deque over the ids
+/// from the oldest active packet to the newest: a [`Service::One`]
+/// answer resolves in O(1).
 #[derive(Debug)]
 pub(crate) struct Bottleneck {
     pub active: Vec<ActivePacket>,
+    /// Remaining work of `active[i]` at `remaining[i]`: the per-event
+    /// completion scan and drain read 8 bytes per packet.
+    remaining: Vec<Work>,
     shares: Vec<f64>,
     served: Served,
     /// `slots[k]` is the position in `active` of packet id `base + k`,
@@ -336,6 +347,7 @@ impl Bottleneck {
     pub fn new(n: usize, marking_threshold: Option<usize>) -> Self {
         Bottleneck {
             active: Vec::new(),
+            remaining: Vec::new(),
             shares: Vec::new(),
             served: Served::Idle,
             slots: VecDeque::new(),
@@ -368,25 +380,28 @@ impl Bottleneck {
         }
     }
 
-    /// Adds `pkt` to the active set. The engine numbers packets
-    /// consecutively from 0, so `pkt.id` extends the slot window by one;
-    /// an id out of that sequence stays unindexed, and answers naming it
-    /// fall back to `shares`.
+    /// Adds `pkt` to the active set with its whole size still to serve.
+    /// The engine numbers packets consecutively from 0, so `pkt.id`
+    /// extends the slot window by one; an id out of that sequence stays
+    /// unindexed, and answers naming it fall back to `shares`.
     // gn:hot(amortized)
     pub fn admit(&mut self, pkt: ActivePacket) {
         if pkt.id == self.base + conv::index_to_u64(self.slots.len()) {
             self.slots.push_back(self.active.len());
         }
         self.counts[pkt.user] += 1;
+        self.remaining.push(pkt.size);
         self.active.push(pkt);
         self.peak = self.peak.max(self.active.len());
     }
 
-    /// Removes and returns the packet at `idx` (`swap_remove` order, so
-    /// the active set is ordered exactly as before the slot index).
+    /// Removes and returns the packet at `idx` (`swap_remove` order on
+    /// `active` and `remaining` alike, so the active set is ordered
+    /// exactly as before the slot index).
     // gn:hot
     pub fn depart(&mut self, idx: usize) -> ActivePacket {
         let pkt = self.active.swap_remove(idx);
+        self.remaining.swap_remove(idx);
         self.counts[pkt.user] -= 1;
         self.set_slot(pkt.id, VACANT);
         if let Some(moved) = self.active.get(idx).map(|p| p.id) {
@@ -401,13 +416,17 @@ impl Bottleneck {
 
     /// Asks `qdisc` what to serve until the next event: the named packet
     /// when it answers [`Service::One`] with an id this bottleneck holds,
-    /// nothing when it answers [`Service::Idle`] and nothing is active,
-    /// and otherwise the share vector it writes.
+    /// `1 / k` of the server for each of the `k` active packets when it
+    /// answers [`Service::Even`], nothing when it answers
+    /// [`Service::Idle`] or `Even` and nothing is active, and otherwise
+    /// the share vector it writes.
     // gn:hot(amortized)
     pub fn serve(&mut self, qdisc: &mut dyn QDisc, now: SimTime) {
         self.served = match qdisc.service(now) {
             Service::One(id) => self.position(id).map_or(Served::Split, Served::One),
-            Service::Idle if self.active.is_empty() => Served::Idle,
+            Service::Idle | Service::Even if self.active.is_empty() => Served::Idle,
+            // The expression `ProcessorSharing::shares` writes.
+            Service::Even => Served::Even(1.0 / self.active.len() as f64),
             Service::Idle | Service::Split => Served::Split,
         };
         if self.served == Served::Split {
@@ -427,6 +446,7 @@ impl Bottleneck {
                     0.0
                 }
             }
+            Served::Even(s) => s,
             Served::Split => self.shares.get(idx).copied().unwrap_or(0.0),
         }
     }
@@ -436,52 +456,49 @@ impl Bottleneck {
     ///
     /// This is the engine's *derived* event. A single served packet
     /// completes at `now + remaining`, bit for bit the share scan's
-    /// `now + remaining / 1.0`; a split keeps the exact scan (strict `<`,
-    /// first index wins) of the pre-calendar engine.
+    /// `now + remaining / 1.0`; a share vector keeps the exact scan
+    /// (strict `<`, first index wins) of the pre-calendar engine, and an
+    /// even split gives that scan's answer without a division per packet
+    /// (see [`even_completion`]).
     // gn:hot
     pub fn peek_completion(&self, now: f64) -> (f64, usize) {
-        let mut t_done = f64::INFINITY;
-        let mut done_idx = usize::MAX;
         match self.served {
-            Served::Idle => {}
-            Served::One(i) => {
-                if let Some(p) = self.active.get(i) {
-                    (t_done, done_idx) = (now + p.remaining.get(), i);
-                }
-            }
-            Served::Split => {
-                for (i, p) in self.active.iter().enumerate() {
-                    let s = self.shares.get(i).copied().unwrap_or(0.0);
-                    if s > 0.0 {
-                        let t = now + p.remaining.get() / s;
-                        if t < t_done {
-                            t_done = t;
-                            done_idx = i;
-                        }
-                    }
-                }
-            }
+            Served::Idle => (f64::INFINITY, usize::MAX),
+            Served::One(i) => self
+                .remaining
+                .get(i)
+                .map_or((f64::INFINITY, usize::MAX), |r| (now + r.get(), i)),
+            Served::Even(s) => even_completion(now, s, &self.remaining),
+            Served::Split => split_completion(now, &self.remaining, |i| {
+                self.shares.get(i).copied().unwrap_or(0.0)
+            }),
         }
-        (t_done, done_idx)
     }
 
     /// Drains `share × dt` of remaining work from every served packet
     /// (`dt` itself from a single served packet, the same bits as
-    /// `1.0 × dt`).
+    /// `1.0 × dt`; an even split computes `s × dt` once, the same bits
+    /// as each packet's own product).
     // gn:hot
     pub fn drain(&mut self, dt: f64) {
         match self.served {
             Served::Idle => {}
             Served::One(i) => {
-                if let Some(p) = self.active.get_mut(i) {
-                    p.remaining -= Work::raw(dt);
+                if let Some(r) = self.remaining.get_mut(i) {
+                    *r -= Work::raw(dt);
+                }
+            }
+            Served::Even(s) => {
+                let done = Work::raw(s * dt);
+                for r in &mut self.remaining {
+                    *r -= done;
                 }
             }
             Served::Split => {
-                for (i, p) in self.active.iter_mut().enumerate() {
+                for (i, r) in self.remaining.iter_mut().enumerate() {
                     let s = self.shares.get(i).copied().unwrap_or(0.0);
                     if s > 0.0 {
-                        p.remaining -= Work::raw(s * dt);
+                        *r -= Work::raw(s * dt);
                     }
                 }
             }
@@ -495,6 +512,89 @@ impl Bottleneck {
         self.marking_threshold
             .is_some_and(|th| self.active.len() >= th)
     }
+}
+
+/// The split scan: the earliest `now + remaining / share` over packets
+/// with a positive share, strict `<` so the first index wins a tie, or
+/// `(∞, usize::MAX)` when no completion is finite.
+// gn:hot
+fn split_completion(now: f64, remaining: &[Work], share: impl Fn(usize) -> f64) -> (f64, usize) {
+    let mut t_done = f64::INFINITY;
+    let mut done_idx = usize::MAX;
+    for (i, r) in remaining.iter().enumerate() {
+        let s = share(i);
+        if s > 0.0 {
+            let t = now + r.get() / s;
+            if t < t_done {
+                t_done = t;
+                done_idx = i;
+            }
+        }
+    }
+    (t_done, done_idx)
+}
+
+/// The earliest completion when every packet holds the share `s > 0`:
+/// bit for bit [`split_completion`] with every share equal to `s`.
+///
+/// For a fixed `s > 0`, `t(r) = now + r / s` is non-decreasing in `r`
+/// under round-to-nearest. The scan's answer is therefore the first
+/// packet holding the least work `m1`, at its own `t` — unless a packet
+/// before it, holding more work, completes at the same rounded time and
+/// wins the tie. Every packet before the first `m1` holds more (or NaN,
+/// which never completes), and the least of them completes first among
+/// them, so that can only happen when its completion equals `t(m1)`.
+/// Then, and when `t(m1)` is not finite, this runs the split scan
+/// itself.
+// gn:hot
+fn even_completion(now: f64, s: f64, remaining: &[Work]) -> (f64, usize) {
+    let least = least_work(remaining);
+    let t_least = now + least / s;
+    if t_least.is_finite() {
+        if let Some(i) = first_holding(remaining, least) {
+            let before = least_work(&remaining[..i]);
+            if now + before / s != t_least {
+                return (now + remaining[i].get() / s, i);
+            }
+        }
+    }
+    split_completion(now, remaining, |_| s)
+}
+
+/// The least remaining work (`∞` when empty; NaN is never the least),
+/// reduced in [`LANES`] independent lanes.
+// gn:hot
+fn least_work(remaining: &[Work]) -> f64 {
+    let mut lanes = [f64::INFINITY; LANES];
+    let chunks = remaining.chunks_exact(LANES);
+    let tail = chunks.remainder();
+    for chunk in chunks {
+        for (m, r) in lanes.iter_mut().zip(chunk) {
+            *m = if r.get() < *m { r.get() } else { *m };
+        }
+    }
+    lanes
+        .into_iter()
+        .chain(tail.iter().map(|r| r.get()))
+        .fold(f64::INFINITY, |m, r| if r < m { r } else { m })
+}
+
+/// The first index whose remaining work equals `work`, testing
+/// [`LANES`] packets per step.
+// gn:hot
+fn first_holding(remaining: &[Work], work: f64) -> Option<usize> {
+    let holds = |r: &Work| r.get() == work;
+    let chunks = remaining.chunks_exact(LANES);
+    let tail_start = remaining.len() - chunks.remainder().len();
+    for (k, chunk) in chunks.enumerate() {
+        if chunk.iter().fold(false, |hit, r| hit | holds(r)) {
+            return chunk.iter().position(holds).map(|j| k * LANES + j);
+        }
+    }
+    remaining[tail_start..]
+        .iter()
+        .position(holds)
+        .map(|j| tail_start + j)
 }
 
 #[cfg(test)]
@@ -580,13 +680,13 @@ mod tests {
         assert_eq!(r.final_window, 1.0);
     }
 
+    /// Packet `id` of `user`, of size `id + 1`.
     fn packet(id: u64, user: usize) -> ActivePacket {
         ActivePacket {
             id,
             user,
             arrival: SimTime::ZERO,
-            size: Work::raw(1.0),
-            remaining: Work::raw(1.0),
+            size: Work::raw(1.0 + id as f64),
         }
     }
 
@@ -601,10 +701,13 @@ mod tests {
         assert!(!Bottleneck::new(1, None).ecn_mark());
     }
 
-    /// Every active packet is indexed at its position.
+    /// Every active packet is indexed at its position, and its remaining
+    /// work (undrained: its size) sits at the same position.
     fn assert_index_consistent(b: &Bottleneck) {
+        assert_eq!(b.remaining.len(), b.active.len());
         for (i, p) in b.active.iter().enumerate() {
             assert_eq!(b.position(p.id), Some(i), "packet {}", p.id);
+            assert_eq!(b.remaining[i], p.size, "packet {}", p.id);
         }
         assert_ne!(b.slots.front(), Some(&VACANT), "window starts at a live id");
     }
@@ -648,6 +751,8 @@ mod tests {
         b.serve(&mut fifo, SimTime::ZERO);
         assert_eq!(b.served, Served::Idle);
         assert_eq!(b.peek_completion(0.0), (f64::INFINITY, usize::MAX));
+        b.serve(&mut ProcessorSharing, SimTime::ZERO);
+        assert_eq!(b.served, Served::Idle);
         for id in 0..3 {
             let p = packet(id, 0);
             fifo.on_arrival(&p, SimTime::ZERO);
@@ -657,14 +762,16 @@ mod tests {
         assert_eq!(b.served, Served::One(0));
         assert_eq!(b.peek_completion(2.0), (3.0, 0));
         b.drain(0.25);
-        assert_eq!(b.active[0].remaining, Work::raw(0.75));
+        assert_eq!(b.remaining[0], Work::raw(0.75));
         assert_eq!((b.share(0), b.share(1)), (1.0, 0.0));
         // A discipline that never saw these packets: the split fallback.
         b.serve(&mut Fifo::default(), SimTime::ZERO);
         assert_eq!(b.served, Served::Split);
         assert_eq!(b.share(2), 1.0 / 3.0);
+        // Processor sharing: an even split, served without shares.
         b.serve(&mut ProcessorSharing, SimTime::ZERO);
-        assert_eq!(b.served, Served::Split);
+        assert_eq!(b.served, Served::Even(1.0 / 3.0));
+        assert_eq!(b.share(2), 1.0 / 3.0);
         let (t, idx) = b.peek_completion(0.0);
         assert_eq!((t, idx), (0.75 / (1.0 / 3.0), 0));
         // An unindexed packet named by the discipline: shares again.
@@ -677,5 +784,109 @@ mod tests {
         b.serve(&mut lifo, SimTime::ZERO);
         assert_eq!(b.served, Served::Split);
         assert_eq!(b.share(2), 1.0);
+    }
+
+    /// Processor sharing that keeps the default `service`: the bottleneck
+    /// serves it through its share vector.
+    #[derive(Debug)]
+    struct EvenShares;
+
+    impl QDisc for EvenShares {
+        fn name(&self) -> &'static str {
+            "PS (shares)"
+        }
+        fn on_arrival(&mut self, _pkt: &ActivePacket, _now: SimTime) {}
+        fn on_departure(&mut self, _pkt: &ActivePacket, _now: SimTime) {}
+        fn shares(&mut self, active: &[ActivePacket], now: SimTime, out: &mut Vec<f64>) {
+            crate::qdisc::ProcessorSharing.shares(active, now, out);
+        }
+    }
+
+    /// One remaining-work value: repeats from a small pool, ±0, tiny
+    /// negatives, ±∞, NaN, arbitrary values, or (in `collide` mode, and
+    /// for kind 9) `0.5` plus a few ulps, which `now + r/s` at `now =
+    /// 2^20` rounds to one completion time.
+    fn work_value(collide: bool, (kind, x, k): (u8, f64, u64)) -> f64 {
+        const POOL: [f64; 4] = [0.5, 1.0, 1e-3, 2.75];
+        match kind {
+            _ if collide => f64::from_bits(0.5f64.to_bits() + k),
+            0..=2 => POOL[usize::try_from(k).unwrap_or(0)],
+            3 => 0.0,
+            4 => -0.0,
+            5 => -1e-15 * (1.0 + x),
+            6 => f64::INFINITY,
+            7 => f64::NEG_INFINITY,
+            8 => f64::NAN,
+            9 => f64::from_bits(0.5f64.to_bits() + k),
+            _ => x,
+        }
+    }
+
+    /// `(now, dt, remaining work)`; a third of the cases collide, and a
+    /// few run at a NaN `now`, whose completion is never finite.
+    fn even_split_case() -> impl proptest::strategy::Strategy<Value = (f64, f64, Vec<f64>)> {
+        use proptest::prelude::*;
+        let element = (0u8..14, 0.0..4.0f64, 0u64..4);
+        (
+            0u8..3,
+            0usize..5,
+            0.0..3.0f64,
+            proptest::collection::vec(element, 0..=40),
+        )
+            .prop_map(|(mode, now, dt, elements)| {
+                let collide = mode == 0;
+                let now = if collide {
+                    1_048_576.0
+                } else {
+                    [0.0, 1.0, 1_048_576.0, 1234.567, f64::NAN][now]
+                };
+                let work = elements
+                    .into_iter()
+                    .map(|e| work_value(collide, e))
+                    .collect();
+                (now, dt, work)
+            })
+    }
+
+    /// A bottleneck holding one packet per work value, served by `qdisc`.
+    fn holding(work: &[f64], qdisc: &mut dyn QDisc, now: f64) -> Bottleneck {
+        let mut b = Bottleneck::new(1, None);
+        for id in 0..work.len() {
+            b.admit(packet(conv::index_to_u64(id), 0));
+        }
+        b.remaining = work.iter().map(|&r| Work::raw(r)).collect();
+        b.serve(qdisc, SimTime::raw(now));
+        b
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn even_split_completes_and_drains_like_the_share_scan(
+            (now, dt, work) in even_split_case()
+        ) {
+            let mut even = holding(&work, &mut crate::qdisc::ProcessorSharing, now);
+            let mut split = holding(&work, &mut EvenShares, now);
+            proptest::prop_assert_eq!(split.served, Served::Split);
+            let expected = if work.is_empty() {
+                Served::Idle
+            } else {
+                Served::Even(1.0 / work.len() as f64)
+            };
+            proptest::prop_assert_eq!(even.served, expected);
+            let (t_even, i_even) = even.peek_completion(now);
+            let (t_split, i_split) = split.peek_completion(now);
+            proptest::prop_assert!(
+                (t_even.to_bits(), i_even) == (t_split.to_bits(), i_split),
+                "now {now} work {work:?}: even ({t_even}, {i_even}), split ({t_split}, {i_split})"
+            );
+            even.drain(dt);
+            split.drain(dt);
+            let bits = |b: &Bottleneck| -> Vec<u64> {
+                b.remaining.iter().map(|r| r.get().to_bits()).collect()
+            };
+            proptest::prop_assert!(bits(&even) == bits(&split), "dt {dt} work {work:?}");
+        }
     }
 }

@@ -34,22 +34,24 @@
 //!   from id queues the discipline keeps in its arrival/departure hooks
 //!   (FIFO serves the oldest packet; priority disciplines the oldest of
 //!   the highest non-empty level; fair queueing the smallest virtual
-//!   start tag, non-preemptively), or splits the server by a vector of
-//!   non-negative *service shares* summing to 1 (processor sharing).
+//!   start tag, non-preemptively), gives every active packet `1/k` of
+//!   the server ([`Service::Even`], processor sharing), or splits the
+//!   server by a vector of non-negative *service shares* summing to 1.
 //! * [`entities`] — [`entities::SourceSpec`] sources (open-loop Poisson
-//!   or closed-loop AIMD), the bottleneck, and the typed
+//!   or closed-loop AIMD), the bottleneck, which keeps each active
+//!   packet's remaining work packed beside the active set, and the typed
 //!   [`entities::Cmd`]s they exchange through the calendar.
 //! * [`engine`] — the [`Engine`] event loop, the one simulator API:
 //!   an [`EngineConfig`] (open-loop rates via
 //!   [`EngineConfig::open_loop`], or any mix of sources) validated once
 //!   by [`Engine::new`]. The loop pops commands, dispatches them to
-//!   entities, drains work between events from the served packet (or
-//!   at the QDisc's shares), and integrates statistics into a
+//!   entities, drains work between events from the served packet, the
+//!   even split or the QDisc's shares, and integrates statistics into a
 //!   [`SimResult`]. Bottleneck completions are *derived* events
-//!   recomputed from the served packet or the shares after every state
-//!   change, so share-shuffling disciplines never leave stale entries on
-//!   the calendar; the [`EngineReport`] carries the result, per-flow
-//!   records, and the run's peak backlog and calendar depth.
+//!   recomputed from what is served after every state change, so
+//!   processor sharing never leaves stale entries on the calendar; the
+//!   [`EngineReport`] carries the result, per-flow records, and the
+//!   run's peak backlog and calendar depth.
 //!
 //! Packet sizes are i.i.d. unit-mean (`Exp(1)` by default), open-loop
 //! arrivals are Poisson, so every discipline sees the same M/M/1

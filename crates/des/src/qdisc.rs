@@ -4,28 +4,31 @@
 //! the active packets at every instant. It answers in one of two ways:
 //!
 //! * [`QDisc::service`] names the one packet that holds the whole server
-//!   ([`Service::One`]), or says nothing is queued ([`Service::Idle`]).
+//!   ([`Service::One`]), says every active packet holds an equal share
+//!   ([`Service::Even`]), or says nothing is queued ([`Service::Idle`]).
 //!   The single-server disciplines below keep id queues in their
 //!   `on_arrival`/`on_departure` hooks and answer in O(1) or
 //!   O(log backlog), so an overloaded switch costs no more per event
-//!   than a lightly loaded one.
+//!   than a lightly loaded one; processor sharing answers `Even` with no
+//!   state at all.
 //! * [`QDisc::shares`] writes *service shares*: non-negative weights,
-//!   one per active packet, summing to 1. Disciplines that split the
-//!   server (processor sharing) answer here, and say so by keeping the
-//!   default `service`, which returns [`Service::Split`].
+//!   one per active packet, summing to 1. A discipline that keeps the
+//!   default `service`, which returns [`Service::Split`], answers only
+//!   here.
 //!
-//! Every single-server discipline writes its `shares` from its own
-//! `service` answer, so each discipline has exactly one selection rule
-//! and callers that only speak `shares` (decorators, reference loops)
-//! see the same schedule. Work conservation is automatic (service only
-//! ever goes to active packets); preemption is expressed simply by the
-//! answer changing when an arrival occurs.
+//! Every discipline's `shares` are its `service` answer written out as
+//! a vector (the single-server disciplines write them from it), so each
+//! discipline has exactly one selection rule and callers that only
+//! speak `shares` (decorators, reference loops) see the same schedule.
+//! Work conservation is automatic (service only ever goes to active
+//! packets); preemption is expressed simply by the answer changing when
+//! an arrival occurs.
 //!
 //! | QDisc | Serves | Induced allocation (mean queues) |
 //! |---|---|---|
 //! | [`Fifo`] | oldest packet (id deque) | proportional `r_i/(1−Σr)` |
 //! | [`LifoPreemptive`] | newest packet (id stack) | proportional |
-//! | [`ProcessorSharing`] | `1/k` each (share vector) | proportional |
+//! | [`ProcessorSharing`] | `1/k` each (even split) | proportional |
 //! | [`PreemptivePriority`] | oldest packet of best class (deque per class) | serial `g(Λ_k)−g(Λ_{k−1})` |
 //! | [`FsPriorityTable`] | oldest packet of best Table 1 level (deque per level) | **Fair Share** |
 //! | [`StartTimeFairQueueing`] | min start tag, non-preemptive (tag min-heap) | ≈ Fair-Share-like (§5.2) |
@@ -33,7 +36,8 @@
 //! The engine-equivalence tests and the pinned result goldens
 //! (`tests/result_goldens.rs`) pin that every discipline produces
 //! bitwise-identical simulations to the share-scan implementations this
-//! module started from.
+//! module started from, and `tests/even_split.rs` that processor
+//! sharing's even split runs bit for bit like its share vector.
 
 use crate::error::DesError;
 use crate::rng::ExpStream;
@@ -54,10 +58,8 @@ pub struct ActivePacket {
     /// Arrival time.
     pub arrival: SimTime,
     /// Total service requirement (drawn from the service distribution at
-    /// arrival).
+    /// arrival). The engine tracks the work still to be done itself.
     pub size: Work,
-    /// Work still to be done.
-    pub remaining: Work,
 }
 
 /// A discipline's answer to "who holds the server now?".
@@ -67,6 +69,8 @@ pub enum Service {
     Idle,
     /// The packet with this id holds the whole server.
     One(u64),
+    /// Each of the `k` active packets holds `1/k` of the server.
+    Even,
     /// The effort is split across packets: read [`QDisc::shares`].
     Split,
 }
@@ -76,10 +80,11 @@ pub enum Service {
 ///
 /// The engine calls the hooks in event order: `on_arrival` before a
 /// packet joins the active set, `on_departure` after it leaves, then
-/// `service` once per event. It calls `shares` only when `service`
-/// returns [`Service::Split`], or when the answer names a packet the
-/// engine does not hold (a discipline that missed a hook); the server
-/// never idles while packets wait.
+/// `service` once per event. It serves a [`Service::One`] or
+/// [`Service::Even`] answer without a share vector, and calls `shares`
+/// only when `service` returns [`Service::Split`], or when the answer
+/// names a packet the engine does not hold (a discipline that missed a
+/// hook); the server never idles while packets wait.
 pub trait QDisc: Send + Debug {
     /// Human-readable name (used in experiment tables).
     fn name(&self) -> &'static str;
@@ -95,9 +100,9 @@ pub trait QDisc: Send + Debug {
     /// `active` is non-empty.
     fn shares(&mut self, active: &[ActivePacket], now: SimTime, out: &mut Vec<f64>);
 
-    /// The packet that holds the whole server, if the discipline serves
-    /// one packet at a time. The default, [`Service::Split`], routes
-    /// every event through [`QDisc::shares`].
+    /// What holds the server until the next event: one packet, an even
+    /// split over every active packet, or nothing. The default,
+    /// [`Service::Split`], routes every event through [`QDisc::shares`].
     fn service(&mut self, _now: SimTime) -> Service {
         Service::Split
     }
@@ -112,7 +117,7 @@ fn single_server_shares(service: Service, active: &[ActivePacket], out: &mut Vec
     out.clear();
     let served = match service {
         Service::One(id) => active.iter().position(|p| p.id == id),
-        Service::Idle | Service::Split => None,
+        Service::Idle | Service::Even | Service::Split => None,
     };
     match served {
         Some(idx) => {
@@ -228,7 +233,7 @@ impl QDisc for LifoPreemptive {
 }
 
 /// Egalitarian processor sharing: every active packet receives `1/k` of
-/// the server. Induces the proportional allocation.
+/// the server ([`Service::Even`]). Induces the proportional allocation.
 #[derive(Debug, Clone, Default)]
 pub struct ProcessorSharing;
 
@@ -247,6 +252,10 @@ impl QDisc for ProcessorSharing {
             return;
         }
         out.resize(active.len(), 1.0 / active.len() as f64);
+    }
+    // gn:hot
+    fn service(&mut self, _now: SimTime) -> Service {
+        Service::Even
     }
 }
 
@@ -509,7 +518,6 @@ mod tests {
             user,
             arrival: SimTime::raw(arrival),
             size: Work::raw(1.0),
-            remaining: Work::raw(1.0),
         }
     }
 
@@ -562,7 +570,7 @@ mod tests {
             pkt(3, 0, 0.3),
             pkt(4, 2, 0.4),
         ];
-        assert_eq!(d.service(t(1.0)), Service::Split);
+        assert_eq!(d.service(t(1.0)), Service::Even);
         let mut out = Vec::new();
         d.shares(&active, t(1.0), &mut out);
         assert_eq!(out, vec![0.25; 4]);

@@ -49,6 +49,8 @@ fn reference_run(cfg: &EngineConfig, discipline: &mut dyn QDisc) -> SimResult {
         .collect();
 
     let mut active: Vec<ActivePacket> = Vec::new();
+    // Remaining work of `active[i]`, kept in step with it.
+    let mut remaining: Vec<Work> = Vec::new();
     let mut shares: Vec<f64> = Vec::new();
     let mut counts = vec![0usize; n];
     let mut now = 0.0f64;
@@ -97,10 +99,10 @@ fn reference_run(cfg: &EngineConfig, discipline: &mut dyn QDisc) -> SimResult {
         // Earliest completion under current shares.
         let mut t_done = f64::INFINITY;
         let mut done_idx = usize::MAX;
-        for (i, p) in active.iter().enumerate() {
+        for (i, r) in remaining.iter().enumerate() {
             let s = shares.get(i).copied().unwrap_or(0.0);
             if s > 0.0 {
-                let t = now + p.remaining.get() / s;
+                let t = now + r.get() / s;
                 if t < t_done {
                     t_done = t;
                     done_idx = i;
@@ -121,10 +123,10 @@ fn reference_run(cfg: &EngineConfig, discipline: &mut dyn QDisc) -> SimResult {
         // Advance work and statistics.
         let dt = t_next - now;
         if dt > 0.0 {
-            for (i, p) in active.iter_mut().enumerate() {
+            for (i, r) in remaining.iter_mut().enumerate() {
                 let s = shares.get(i).copied().unwrap_or(0.0);
                 if s > 0.0 {
-                    p.remaining -= Work::raw(s * dt);
+                    *r -= Work::raw(s * dt);
                 }
             }
             accumulate(now, t_next, &counts, &mut area, &mut window_area);
@@ -142,8 +144,8 @@ fn reference_run(cfg: &EngineConfig, discipline: &mut dyn QDisc) -> SimResult {
         }
         if t_done <= t_arr {
             // Departure.
-            let mut pkt = active.swap_remove(done_idx);
-            pkt.remaining = Work::ZERO;
+            let pkt = active.swap_remove(done_idx);
+            remaining.swap_remove(done_idx);
             counts[pkt.user] -= 1;
             discipline.on_departure(&pkt, SimTime::raw(now));
             if pkt.arrival.get() >= warmup {
@@ -160,11 +162,11 @@ fn reference_run(cfg: &EngineConfig, discipline: &mut dyn QDisc) -> SimResult {
                 user: u,
                 arrival: SimTime::raw(now),
                 size: Work::raw(size),
-                remaining: Work::raw(size),
             };
             next_id += 1;
             counts[u] += 1;
             discipline.on_arrival(&pkt, SimTime::raw(now));
+            remaining.push(pkt.size);
             active.push(pkt);
             next_arrival[u] = now + arrival_streams[u].sample(rates[u]);
         }

@@ -197,7 +197,6 @@ fn disagreement(kind: DisciplineKind, rates: &[f64], seed: u64, ops: &[Op]) -> O
                 user: user % rates.len(),
                 arrival: now,
                 size: Work::raw(size),
-                remaining: Work::raw(size),
             };
             next_id += 1;
             d.on_arrival(&p, now);

@@ -41,5 +41,5 @@ pub mod model;
 pub use finite::{solve_finite, solve_finite_probed, FiniteSolution};
 pub use meanfield::{solve_mean_field, solve_mean_field_probed, MeanFieldSolution};
 pub use model::{
-    apportion, weight_fractions, ClassSpec, LargenDiscipline, LargenError, SolveOptions, SFQ_BETA,
+    weight_fractions, ClassSpec, LargenDiscipline, LargenError, SolveOptions, SFQ_BETA,
 };

@@ -257,8 +257,11 @@ pub fn weight_fractions(weights: &[f64]) -> Vec<f64> {
 /// classes are always the rounded-up ones), so the finite-`N` equilibrium
 /// error decays monotonically in `n` instead of oscillating with the
 /// rounding (experiment E17 depends on this).
+///
+/// Callers pass the weights [`validate`] returned (finite and positive);
+/// other weights give counts that need not sum to `n`.
 #[must_use]
-pub fn apportion(n: u64, weights: &[f64]) -> Vec<u64> {
+pub(crate) fn apportion(n: u64, weights: &[f64]) -> Vec<u64> {
     if weights.is_empty() {
         return Vec::new();
     }
