@@ -21,6 +21,17 @@
 //! every row kept its sweep count (37, 35, 37, 57, 38, 38) and its
 //! convergence, and no `continuum` row moved.
 //!
+//! Ten rows were re-pinned a second time, when a best response began to
+//! stop once an accepted Newton step moves less than `tol·(1 + |x|)`
+//! instead of narrowing its bracket to that width. Each best response
+//! moved within its tolerance. Both log3 FIFO rows kept their bits, and
+//! both heavy FIFO rows moved only in their residual. The log3 Fair
+//! Share and SFQ rows moved by at most 28 ulps. Near saturation the
+//! best-response slope amplifies every difference, so the heavy Fair
+//! Share and SFQ rows moved by up to 9e-10 (relative) in the load and
+//! 3e-8 in Φ. Every row kept its sweep or step count and its
+//! convergence.
+//!
 //! A mismatch prints the whole table of fresh words; re-pin only for a
 //! deliberate change of solver semantics, and say why.
 
@@ -176,14 +187,14 @@ const LOG_GOLDENS: &[(&str, &[u64])] = &[
         &[
             0x0000000000000023,
             0x0000000000000001,
-            0x3d70316000000000,
+            0x3d70318000000000,
             0x3fd19275d59f96a1,
-            0x3fd4355142065427,
-            0x3fd1806576766e1e,
+            0x3fd4355142065428,
+            0x3fd1806576766e1f,
             0x3fce01fc09e4930a,
-            0x3fdd0e237d6bae65,
-            0x3fd8028ed29b513b,
-            0x3fd39933fe05bf6e,
+            0x3fdd0e237d6bae5a,
+            0x3fd8028ed29b513f,
+            0x3fd39933fe05bf6f,
             0x00000000000003e9,
             0x00000000000003e8,
             0x00000000000003e8,
@@ -194,13 +205,13 @@ const LOG_GOLDENS: &[(&str, &[u64])] = &[
         &[
             0x0000000000000023,
             0x0000000000000001,
-            0x3d6fe08000000000,
-            0x3fd1924b868f7336,
-            0x3fd4357616c76b72,
-            0x3fd1806e77f4a4d4,
+            0x3d6ff98000000000,
+            0x3fd1924b868f7332,
+            0x3fd4357616c76b76,
+            0x3fd1806e77f4a4c4,
             0x3fce01fc09e492bc,
-            0x3fdd0e603af0899b,
-            0x3fd8029d9820c587,
+            0x3fdd0e603af0899a,
+            0x3fd8029d9820c56b,
             0x3fd39933fe05bf64,
         ],
     ),
@@ -214,8 +225,8 @@ const LOG_GOLDENS: &[(&str, &[u64])] = &[
             0x3fd16eb38808fa15,
             0x3fcdd31140fb4107,
             0x3fc9085bd09d8b73,
-            0x3fe0286233909690,
-            0x3fdad61c111418f0,
+            0x3fe0286233909691,
+            0x3fdad61c111418f1,
             0x3fd5d13ebd624e59,
             0x00000000000003e9,
             0x00000000000003e8,
@@ -230,7 +241,7 @@ const LOG_GOLDENS: &[(&str, &[u64])] = &[
             0x3d6bde8000000000,
             0x3fcde85aec15485e,
             0x3fd16ecbb95279af,
-            0x3fcdd31d80fd5aad,
+            0x3fcdd31d80fd5aac,
             0x3fc9085bd09d8b13,
             0x3fe02879496e4fef,
             0x3fdad627dfd53410,
@@ -245,7 +256,7 @@ const HEAVY_GOLDENS: &[(&str, &[u64])] = &[
         &[
             0x0000000000000039,
             0x0000000000000001,
-            0x3e5b3b8d62000000,
+            0x3e5b3b8828000000,
             0x3feff4d325247ea2,
             0x3feff4d325247f97,
             0x4086e0680d287aba,
@@ -257,7 +268,7 @@ const HEAVY_GOLDENS: &[(&str, &[u64])] = &[
         &[
             0x000000000000003d,
             0x0000000000000001,
-            0x3e662c601c000000,
+            0x3e662c601b000000,
             0x3feff7d0f16c4ea4,
             0x3feff7d0f16c4ea4,
             0x408f4000007ca228,
@@ -268,10 +279,10 @@ const HEAVY_GOLDENS: &[(&str, &[u64])] = &[
         &[
             0x0000000000000026,
             0x0000000000000001,
-            0x3e6805d8a4000000,
-            0x3fef010284dd6dae,
-            0x3fef010284dd6daa,
-            0x403f20715ec5fbec,
+            0x3e6805aa45000000,
+            0x3fef0102846598f6,
+            0x3fef0102846598f0,
+            0x403f20714facf449,
             0x00000000000007d0,
         ],
     ),
@@ -280,10 +291,10 @@ const HEAVY_GOLDENS: &[(&str, &[u64])] = &[
         &[
             0x0000000000000044,
             0x0000000000000001,
-            0x3e700fd7f1800000,
-            0x3fef010294915cb4,
-            0x3fef010294915cb4,
-            0x403f20735940a657,
+            0x3e700f7bec800000,
+            0x3fef01029490fdb2,
+            0x3fef01029490fdb2,
+            0x403f20735934adf5,
         ],
     ),
     (
@@ -291,10 +302,10 @@ const HEAVY_GOLDENS: &[(&str, &[u64])] = &[
         &[
             0x0000000000000026,
             0x0000000000000001,
-            0x3e6b253eca000000,
-            0x3fef00f2f3c84c8e,
-            0x3fef00f2f3c84ca0,
-            0x403f9a7f32870429,
+            0x3e6b24f0c2000000,
+            0x3fef00f2f34b3358,
+            0x3fef00f2f34b335a,
+            0x403f9a7f22c40fb3,
             0x00000000000007d0,
         ],
     ),
@@ -303,10 +314,10 @@ const HEAVY_GOLDENS: &[(&str, &[u64])] = &[
         &[
             0x0000000000000043,
             0x0000000000000001,
-            0x3e7a9c0eb2800000,
-            0x3fef00f30dfc9910,
-            0x3fef00f30dfc9910,
-            0x403f9a827fb9fee8,
+            0x3e7a9b1355800000,
+            0x3fef00f30dfb9582,
+            0x3fef00f30dfb9582,
+            0x403f9a827f994b26,
         ],
     ),
 ];
