@@ -51,7 +51,7 @@ use crate::service::ServiceDist;
 use crate::units::{SimTime, Work};
 use crate::Result;
 use greednet_numerics::conv;
-use greednet_numerics::stats::{batch_means_ci, MeanCi, Reservoir, Welford};
+use greednet_numerics::stats::{batch_means_ci, sorted_quantile, MeanCi, Reservoir, Welford};
 use greednet_telemetry::{
     CalendarEvent, CalendarEventKind, NoopProbe, PacketEvent, PacketEventKind, Probe,
 };
@@ -371,10 +371,10 @@ impl Engine {
         let mut now = 0.0f64;
         let mut next_id = 0u64;
         let mut events = 0u64;
-        // Packet ids currently holding a positive share — probe
+        // Packets holding a positive share at the previous event — probe
         // bookkeeping only; stays empty (never allocates) when the
         // probe's instrumentation sites are compiled out.
-        let mut serving: Vec<u64> = Vec::new();
+        let mut serving = Serving::default();
         let mut stats = Stats::new(cfg);
 
         // Initial fires: one per sending source. Open-loop sources fire
@@ -403,7 +403,7 @@ impl Engine {
 
         bottleneck.serve(qdisc, SimTime::raw(now));
         if P::ENABLED {
-            emit_share_transitions(&bottleneck, &mut serving, now, probe);
+            emit_share_transitions(&bottleneck, &mut serving, next_id, now, probe);
         }
         loop {
             // Earliest completion of the served packets (derived event)
@@ -441,7 +441,7 @@ impl Engine {
             max_calendar = max_calendar.max(commit(&mut pending, &mut calendar, probe));
             bottleneck.serve(qdisc, SimTime::raw(now));
             if P::ENABLED {
-                emit_share_transitions(&bottleneck, &mut serving, now, probe);
+                emit_share_transitions(&bottleneck, &mut serving, next_id, now, probe);
             }
         }
 
@@ -781,15 +781,10 @@ impl Stats {
             .delay_samples
             .iter()
             .map(|r| {
-                if r.samples().is_empty() {
-                    (0.0, 0.0, 0.0)
-                } else {
-                    (
-                        r.quantile(0.50).unwrap_or(0.0),
-                        r.quantile(0.95).unwrap_or(0.0),
-                        r.quantile(0.99).unwrap_or(0.0),
-                    )
-                }
+                let mut sorted = r.samples().to_vec();
+                sorted.sort_by(f64::total_cmp);
+                let q = |p| sorted_quantile(&sorted, p).unwrap_or(0.0);
+                (q(0.50), q(0.95), q(0.99))
             })
             .collect();
         let total_queue_dist: Vec<f64> = self.dist_time.iter().map(|t| t / measured).collect();
@@ -809,24 +804,81 @@ impl Stats {
     }
 }
 
+/// The packets that held a positive share at the previous event, for
+/// [`emit_share_transitions`].
+#[derive(Default)]
+struct Serving {
+    /// `Some(next)` when every packet active then held a share (an even
+    /// split), `next` being the first packet id not yet admitted then.
+    all_below: Option<u64>,
+    /// Otherwise their ids.
+    ids: Vec<u64>,
+    /// Scratch: per position of the current active set, whether that
+    /// packet held a share at the previous event.
+    before: Vec<bool>,
+    /// Scratch: positions of the packets admitted since then.
+    fresh: Vec<usize>,
+}
+
 /// Diffs the set of packets holding a positive share against the
 /// previous call's set and reports the transitions: newly positive →
 /// [`PacketEventKind::ServiceStart`] (resumes re-emit), dropped to zero
 /// while still active → [`PacketEventKind::Preemption`]. Packets that
 /// left the system are handled by the departure event, not here.
 /// Preemptions are emitted before starts; both follow active-set order,
-/// so the event stream is deterministic.
+/// so the event stream is deterministic. `next_id` is the first packet
+/// id not yet admitted.
+///
+/// Between two even splits only the packets admitted in between start,
+/// so that diff visits just those. Any other diff finds where each
+/// previously served packet sits now through the bottleneck's slot index
+/// (every packet the engine numbers is indexed), so it costs `O(k)` for
+/// `k` active packets.
 // gn:hot(amortized)
 fn emit_share_transitions<P: Probe>(
     bottleneck: &Bottleneck,
-    serving: &mut Vec<u64>,
+    serving: &mut Serving,
+    next_id: u64,
     now: f64,
     probe: &mut P,
 ) {
     let active = &bottleneck.active;
     let queue_len = active.len();
+    let start = |probe: &mut P, p: &ActivePacket| {
+        probe.on_packet(&PacketEvent {
+            time: now,
+            user: p.user,
+            packet: p.id,
+            queue_len,
+            kind: PacketEventKind::ServiceStart,
+        });
+    };
+    let all_now = bottleneck.serves_all();
+    if let (true, Some(below)) = (all_now, serving.all_below) {
+        let fresh = &mut serving.fresh;
+        fresh.clear();
+        fresh.extend((below..next_id).filter_map(|id| bottleneck.position(id)));
+        fresh.sort_unstable();
+        for &i in fresh.iter() {
+            start(probe, &active[i]);
+        }
+        serving.all_below = Some(next_id);
+        return;
+    }
+    let before = &mut serving.before;
+    before.clear();
+    if let Some(below) = serving.all_below {
+        before.extend(active.iter().map(|p| p.id < below));
+    } else {
+        before.resize(queue_len, false);
+        for &id in &serving.ids {
+            if let Some(i) = bottleneck.position(id) {
+                before[i] = true;
+            }
+        }
+    }
     for (i, p) in active.iter().enumerate() {
-        if bottleneck.share(i) <= 0.0 && serving.contains(&p.id) {
+        if bottleneck.share(i) <= 0.0 && before[i] {
             probe.on_packet(&PacketEvent {
                 time: now,
                 user: p.user,
@@ -837,24 +889,23 @@ fn emit_share_transitions<P: Probe>(
         }
     }
     for (i, p) in active.iter().enumerate() {
-        if bottleneck.share(i) > 0.0 && !serving.contains(&p.id) {
-            probe.on_packet(&PacketEvent {
-                time: now,
-                user: p.user,
-                packet: p.id,
-                queue_len,
-                kind: PacketEventKind::ServiceStart,
-            });
+        if bottleneck.share(i) > 0.0 && !before[i] {
+            start(probe, p);
         }
     }
-    serving.clear();
-    serving.extend(
-        active
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| bottleneck.share(i) > 0.0)
-            .map(|(_, p)| p.id),
-    );
+    serving.ids.clear();
+    if all_now {
+        serving.all_below = Some(next_id);
+    } else {
+        serving.all_below = None;
+        serving.ids.extend(
+            active
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| bottleneck.share(i) > 0.0)
+                .map(|(_, p)| p.id),
+        );
+    }
 }
 
 #[cfg(test)]
@@ -1075,6 +1126,50 @@ mod tests {
             "max_calendar {}",
             report.max_calendar
         );
+    }
+
+    /// Records every packet event of a run.
+    #[derive(Default)]
+    struct PacketLog(Vec<PacketEvent>);
+
+    impl Probe for PacketLog {
+        fn on_packet(&mut self, event: &PacketEvent) {
+            self.0.push(event.clone());
+        }
+    }
+
+    #[test]
+    fn processor_sharing_starts_each_packet_on_arrival_and_never_preempts() {
+        use crate::qdisc::ProcessorSharing;
+        use std::collections::BTreeMap;
+        // Overloaded, so the even split holds hundreds of packets and the
+        // probe's diff runs from one even split to the next.
+        let mut cfg = EngineConfig::open_loop(&[0.3, 0.3, 1.0], 2_000.0, 5);
+        cfg.allow_overload = true;
+        let mut log = PacketLog::default();
+        let report = Engine::new(cfg)
+            .unwrap()
+            .run_probed(&mut ProcessorSharing, &mut log)
+            .unwrap();
+        assert!(report.max_active > 500, "max_active {}", report.max_active);
+        let mut arrivals = BTreeMap::new();
+        let mut starts = 0;
+        for e in &log.0 {
+            match e.kind {
+                PacketEventKind::Arrival { .. } => {
+                    arrivals.insert(e.packet, e.time);
+                }
+                PacketEventKind::ServiceStart => {
+                    // Each packet starts once, at its own arrival.
+                    assert_eq!(arrivals.remove(&e.packet), Some(e.time), "{e:?}");
+                    starts += 1;
+                }
+                PacketEventKind::Preemption => panic!("processor sharing preempted: {e:?}"),
+                _ => {}
+            }
+        }
+        assert!(arrivals.is_empty(), "{} never started", arrivals.len());
+        assert!(starts > 2_000, "{starts} starts");
     }
 
     #[test]

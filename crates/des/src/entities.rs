@@ -364,9 +364,10 @@ impl Bottleneck {
         usize::try_from(id.checked_sub(self.base)?).ok()
     }
 
-    /// Position in `active` of packet `id`, if this bottleneck holds it.
+    /// Position in `active` of packet `id`, if this bottleneck holds it
+    /// and its id is indexed.
     // gn:hot
-    fn position(&self, id: u64) -> Option<usize> {
+    pub fn position(&self, id: u64) -> Option<usize> {
         let slot = *self.slots.get(self.offset(id)?)?;
         (slot != VACANT).then_some(slot)
     }
@@ -432,6 +433,11 @@ impl Bottleneck {
         if self.served == Served::Split {
             qdisc.shares(&self.active, now, &mut self.shares);
         }
+    }
+
+    /// Whether every active packet holds a share until the next event.
+    pub fn serves_all(&self) -> bool {
+        matches!(self.served, Served::Even(_))
     }
 
     /// The service share of the packet at `idx` until the next event.

@@ -254,19 +254,28 @@ pub fn batch_means_ci(samples: &[f64], batches: usize) -> Result<MeanCi> {
 /// # Errors
 /// [`NumericsError::InvalidArgument`] for empty input or `q` outside \[0,1\].
 pub fn quantile(samples: &[f64], q: f64) -> Result<f64> {
-    if samples.is_empty() || !(0.0..=1.0).contains(&q) {
-        return Err(NumericsError::InvalidArgument {
-            detail: format!(
-                "quantile requires non-empty samples and q in [0,1], got len={} q={q}",
-                samples.len()
-            ),
-        });
-    }
     let mut sorted = samples.to_vec();
     // Total comparator (GN07): identical to `partial_cmp` on NaN-free
     // samples; any NaN sorts deterministically last instead of scrambling
     // the order statistics.
     sorted.sort_by(f64::total_cmp);
+    sorted_quantile(&sorted, q)
+}
+
+/// [`quantile`] of samples already sorted by `f64::total_cmp`, so that
+/// several quantiles of one sample set share one sort.
+///
+/// # Errors
+/// [`NumericsError::InvalidArgument`] for empty input or `q` outside \[0,1\].
+pub fn sorted_quantile(sorted: &[f64], q: f64) -> Result<f64> {
+    if sorted.is_empty() || !(0.0..=1.0).contains(&q) {
+        return Err(NumericsError::InvalidArgument {
+            detail: format!(
+                "quantile requires non-empty samples and q in [0,1], got len={} q={q}",
+                sorted.len()
+            ),
+        });
+    }
     let pos = q * (sorted.len() - 1) as f64;
     // `pos` is finite and within [0, len-1] by the argument checks above.
     let lo = crate::conv::f64_to_usize(pos.floor());
