@@ -16,9 +16,9 @@
 //! requires.
 //!
 //! The storage backend is abstracted behind [`EventQueue`] so a calendar
-//! queue or hierarchical timing wheel (ROADMAP item 2) can replace the
-//! binary heap without touching the engine; [`EventCalendar`] is the
-//! binary-heap implementation used today.
+//! queue or hierarchical timing wheel can replace the binary heap
+//! without touching the engine; [`EventCalendar`] is the binary-heap
+//! implementation used today.
 
 use crate::units::SimTime;
 use std::collections::BinaryHeap;

@@ -21,28 +21,29 @@
 //! 1. the earliest **completion** — a *derived* event recomputed from
 //!    the bottleneck's `peek_completion` after every state change: the
 //!    served packet's completion for single-server disciplines, the
-//!    first packet holding the least remaining work under an even
-//!    split, the earliest under the share vector otherwise (an even
-//!    split's `1/k` moves at every arrival and departure, so a scheduled
-//!    completion would be stale the moment it was pushed);
+//!    smallest virtual finish tag under an even split, the earliest
+//!    under the share vector otherwise (an even split's `1/k` moves at
+//!    every arrival and departure, so a scheduled completion would be
+//!    stale the moment it was pushed);
 //! 2. the earliest **calendar command** (open-loop `Fire`s and
 //!    closed-loop `Ack`s);
 //! 3. the simulation **horizon** (a clamp, not a calendar entry).
 //!
-//! # Bitwise compatibility with the drain-loop engine
+//! # Equivalence with the drain-loop engine
 //!
 //! For all-open-loop configurations this engine is *bitwise equivalent*
 //! to the pre-calendar drain loop: the RNG stream layout (two master
 //! splits per source, arrivals then sizes), the completion/arrival
 //! scans, the `t_done <= t_arr` departure tie-break, the statistics
 //! accumulation order, and every float expression are preserved
-//! op-for-op. `tests/engine_equivalence.rs` pins this against an
-//! embedded copy of the old loop for seeds 0..8 across all six
-//! disciplines.
+//! op-for-op, except that processor sharing's virtual clock rounds
+//! differently (same counts, every statistic within 1e-9 relative).
+//! `tests/engine_equivalence.rs` pins this against an embedded copy of
+//! the old loop for seeds 0..8 across all six disciplines.
 
 use crate::calendar::{EventCalendar, EventQueue};
 use crate::entities::{
-    Bottleneck, ClosedLoopSource, Cmd, FlowRecord, OpenLoopSource, SourceSpec, SourceState,
+    Bottleneck, ClosedLoopSource, Cmd, FlowRecord, OpenLoopSource, Served, SourceSpec, SourceState,
 };
 use crate::error::DesError;
 use crate::qdisc::{ActivePacket, QDisc};
@@ -829,7 +830,8 @@ struct Serving {
 /// so the event stream is deterministic. `next_id` is the first packet
 /// id not yet admitted.
 ///
-/// Between two even splits only the packets admitted in between start,
+/// Between two single-packet answers the diff compares the two ids, and
+/// between two even splits only the packets admitted in between start,
 /// so that diff visits just those. Any other diff finds where each
 /// previously served packet sits now through the bottleneck's slot index
 /// (every packet the engine numbers is indexed), so it costs `O(k)` for
@@ -844,23 +846,36 @@ fn emit_share_transitions<P: Probe>(
 ) {
     let active = &bottleneck.active;
     let queue_len = active.len();
-    let start = |probe: &mut P, p: &ActivePacket| {
+    let emit = |probe: &mut P, p: &ActivePacket, kind| {
         probe.on_packet(&PacketEvent {
             time: now,
             user: p.user,
             packet: p.id,
             queue_len,
-            kind: PacketEventKind::ServiceStart,
+            kind,
         });
     };
     let all_now = bottleneck.serves_all();
+    let single = serving.all_below.is_none() && serving.ids.len() <= 1;
+    if let (true, Served::One(i)) = (single, bottleneck.served()) {
+        let id = active[i].id;
+        if serving.ids.first() != Some(&id) {
+            if let Some(j) = serving.ids.first().and_then(|&b| bottleneck.position(b)) {
+                emit(probe, &active[j], PacketEventKind::Preemption);
+            }
+            emit(probe, &active[i], PacketEventKind::ServiceStart);
+            serving.ids.clear();
+            serving.ids.push(id);
+        }
+        return;
+    }
     if let (true, Some(below)) = (all_now, serving.all_below) {
         let fresh = &mut serving.fresh;
         fresh.clear();
         fresh.extend((below..next_id).filter_map(|id| bottleneck.position(id)));
         fresh.sort_unstable();
         for &i in fresh.iter() {
-            start(probe, &active[i]);
+            emit(probe, &active[i], PacketEventKind::ServiceStart);
         }
         serving.all_below = Some(next_id);
         return;
@@ -879,18 +894,12 @@ fn emit_share_transitions<P: Probe>(
     }
     for (i, p) in active.iter().enumerate() {
         if bottleneck.share(i) <= 0.0 && before[i] {
-            probe.on_packet(&PacketEvent {
-                time: now,
-                user: p.user,
-                packet: p.id,
-                queue_len,
-                kind: PacketEventKind::Preemption,
-            });
+            emit(probe, p, PacketEventKind::Preemption);
         }
     }
     for (i, p) in active.iter().enumerate() {
         if bottleneck.share(i) > 0.0 && !before[i] {
-            start(probe, p);
+            emit(probe, p, PacketEventKind::ServiceStart);
         }
     }
     serving.ids.clear();

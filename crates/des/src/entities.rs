@@ -20,17 +20,19 @@
 //! The `Bottleneck` entity owns the active-packet set, each packet's
 //! remaining work (packed in its own vector, in the active set's order),
 //! and what its [`QDisc`] serves: one packet, an even split, or a share
-//! vector. Its next completion is a *derived* event (recomputed from
-//! what is served after every state change), not a calendar entry — see
+//! vector, the even split on a GPS virtual clock at O(log k) per event.
+//! Its next completion is a *derived* event (recomputed from what is
+//! served after every state change), not a calendar entry — see
 //! `crate::calendar`.
 
 use crate::error::DesError;
-use crate::qdisc::{ActivePacket, QDisc, Service};
+use crate::qdisc::{tag_key, tag_of_key, ActivePacket, QDisc, Service};
 use crate::rng::ExpStream;
 use crate::units::{Rate, SimTime, Work};
 use crate::Result;
 use greednet_numerics::conv;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// A command in flight on the event calendar.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -298,12 +300,12 @@ impl SourceState {
 
 /// What the bottleneck serves between two events.
 #[derive(Debug, Clone, Copy, PartialEq)]
-enum Served {
+pub(crate) enum Served {
     /// Nothing is active.
     Idle,
     /// The packet at this index of `active` holds the whole server.
     One(usize),
-    /// Every active packet holds this share, `1 / active.len()`.
+    /// Every active packet holds this share, on the virtual clock.
     Even(f64),
     /// The server is split by the `shares` vector.
     Split,
@@ -312,27 +314,35 @@ enum Served {
 /// Slot-index entry of a packet id that has left the system.
 const VACANT: usize = usize::MAX;
 
-/// Independent running minima in the even-split completion scan, so the
-/// reduction is not one serial chain of dependent compares.
-const LANES: usize = 8;
+/// No completion is pending.
+const NONE: (f64, usize) = (f64::INFINITY, usize::MAX);
 
 /// The switch: the active-packet set, each packet's remaining work, what
 /// its `QDisc` serves, per-user counts, and the ECN marking threshold.
 ///
 /// Packets enter through [`Bottleneck::admit`] and leave through
-/// [`Bottleneck::depart`], which keep `remaining` in step with `active`
-/// and a slot index from packet id to position in `active`. The engine
-/// numbers packets consecutively, so the index is a deque over the ids
-/// from the oldest active packet to the newest: a [`Service::One`]
-/// answer resolves in O(1).
+/// [`Bottleneck::depart`], which keep `work` in step with `active` and a
+/// slot index from packet id to position in `active`. The engine numbers
+/// packets consecutively, so the index is a deque over the ids from the
+/// oldest active packet to the newest: a [`Service::One`] answer
+/// resolves in O(1).
+///
+/// An even split runs on the GPS virtual clock of Demers–Keshav–Shenker
+/// and Parekh–Gallager: `v` advances by each packet's share of the
+/// elapsed time, a packet admitted at `v` with work `w` holds the finish
+/// tag `v + w`, and the smallest tag completes next.
 #[derive(Debug)]
 pub(crate) struct Bottleneck {
     pub active: Vec<ActivePacket>,
-    /// Remaining work of `active[i]` at `remaining[i]`: the per-event
-    /// completion scan and drain read 8 bytes per packet.
-    remaining: Vec<Work>,
+    /// `work[i]` belongs to `active[i]`: its remaining work, or its
+    /// finish tag while the clock runs (`served` is `Even`).
+    work: Vec<Work>,
     shares: Vec<f64>,
     served: Served,
+    /// Virtual time since the clock started.
+    v: f64,
+    /// `(tag_key(tag), id)` while the clock runs, smallest first.
+    tags: BinaryHeap<Reverse<(u64, u64)>>,
     /// `slots[k]` is the position in `active` of packet id `base + k`,
     /// or [`VACANT`] once it has left.
     slots: VecDeque<usize>,
@@ -347,9 +357,11 @@ impl Bottleneck {
     pub fn new(n: usize, marking_threshold: Option<usize>) -> Self {
         Bottleneck {
             active: Vec::new(),
-            remaining: Vec::new(),
+            work: Vec::new(),
             shares: Vec::new(),
             served: Served::Idle,
+            v: 0.0,
+            tags: BinaryHeap::new(),
             slots: VecDeque::new(),
             base: 0,
             peak: 0,
@@ -381,28 +393,44 @@ impl Bottleneck {
         }
     }
 
-    /// Adds `pkt` to the active set with its whole size still to serve.
-    /// The engine numbers packets consecutively from 0, so `pkt.id`
-    /// extends the slot window by one; an id out of that sequence stays
-    /// unindexed, and answers naming it fall back to `shares`.
+    /// Adds `pkt` to the active set with its whole size still to serve
+    /// (as the finish tag `v + size` while the clock runs). The engine
+    /// numbers packets consecutively from 0, so `pkt.id` extends the slot
+    /// window by one; an id out of that sequence stays unindexed, and
+    /// answers naming it fall back to `shares`.
     // gn:hot(amortized)
     pub fn admit(&mut self, pkt: ActivePacket) {
         if pkt.id == self.base + conv::index_to_u64(self.slots.len()) {
             self.slots.push_back(self.active.len());
         }
         self.counts[pkt.user] += 1;
-        self.remaining.push(pkt.size);
+        if self.serves_all() {
+            let tag = self.v + pkt.size.get();
+            self.tags.push(Reverse((tag_key(tag), pkt.id)));
+            self.work.push(Work::raw(tag));
+        } else {
+            self.work.push(pkt.size);
+        }
         self.active.push(pkt);
         self.peak = self.peak.max(self.active.len());
     }
 
     /// Removes and returns the packet at `idx` (`swap_remove` order on
-    /// `active` and `remaining` alike, so the active set is ordered
-    /// exactly as before the slot index).
+    /// `active` and `work` alike, so the active set is ordered exactly as
+    /// before the slot index), and its finish tag: the heap top in the
+    /// engine, which departs the earliest completion.
     // gn:hot
     pub fn depart(&mut self, idx: usize) -> ActivePacket {
         let pkt = self.active.swap_remove(idx);
-        self.remaining.swap_remove(idx);
+        self.work.swap_remove(idx);
+        if self.serves_all() {
+            let top = self.tags.peek().map(|&Reverse((_, id))| id);
+            if top == Some(pkt.id) {
+                self.tags.pop();
+            } else {
+                self.tags.retain(|&Reverse((_, id))| id != pkt.id);
+            }
+        }
         self.counts[pkt.user] -= 1;
         self.set_slot(pkt.id, VACANT);
         if let Some(moved) = self.active.get(idx).map(|p| p.id) {
@@ -420,19 +448,70 @@ impl Bottleneck {
     /// `1 / k` of the server for each of the `k` active packets when it
     /// answers [`Service::Even`], nothing when it answers
     /// [`Service::Idle`] or `Even` and nothing is active, and otherwise
-    /// the share vector it writes.
+    /// the share vector it writes — itself an even split when every share
+    /// is bitwise equal, positive and finite. A lone packet holding the
+    /// whole server is served as `One`, the same bits as its share scan.
+    /// The clock restarts at `v = 0` with each even split (each packet's
+    /// tag is then its remaining work), and each tag turns back into
+    /// remaining work, `tag − v`, when the split ends.
     // gn:hot(amortized)
     pub fn serve(&mut self, qdisc: &mut dyn QDisc, now: SimTime) {
-        self.served = match qdisc.service(now) {
-            Service::One(id) => self.position(id).map_or(Served::Split, Served::One),
-            Service::Idle | Service::Even if self.active.is_empty() => Served::Idle,
-            // The expression `ProcessorSharing::shares` writes.
-            Service::Even => Served::Even(1.0 / self.active.len() as f64),
-            Service::Idle | Service::Split => Served::Split,
-        };
-        if self.served == Served::Split {
-            qdisc.shares(&self.active, now, &mut self.shares);
+        let answer = qdisc.service(now);
+        if let (Service::One(id), false) = (answer, self.serves_all()) {
+            if let Some(i) = self.position(id) {
+                self.served = Served::One(i);
+                return;
+            }
         }
+        self.serve_any(answer, qdisc, now);
+    }
+
+    /// [`Bottleneck::serve`] past the single-server answer, kept out of
+    /// line so that answer costs one flag test.
+    // gn:hot(amortized)
+    #[inline(never)]
+    fn serve_any(&mut self, answer: Service, qdisc: &mut dyn QDisc, now: SimTime) {
+        let k = self.active.len();
+        let served = match answer {
+            Service::One(id) => self.position(id).map(Served::One),
+            Service::Idle | Service::Even if k == 0 => Some(Served::Idle),
+            Service::Even if k == 1 => Some(Served::One(0)),
+            // The expression `ProcessorSharing::shares` writes.
+            Service::Even => Some(Served::Even(1.0 / k as f64)),
+            Service::Idle | Service::Split => None,
+        };
+        let served = served.unwrap_or_else(|| {
+            qdisc.shares(&self.active, now, &mut self.shares);
+            let s = self.shares.first().copied().unwrap_or(0.0);
+            let same = |x: &f64| x.to_bits() == s.to_bits();
+            let even = self.shares.len() == k && s > 0.0 && s.is_finite();
+            match (even && self.shares.iter().all(same), k == 1 && s == 1.0) {
+                (false, _) => Served::Split,
+                (true, true) => Served::One(0),
+                (true, false) => Served::Even(s),
+            }
+        });
+        match (self.serves_all(), matches!(served, Served::Even(_))) {
+            (true, false) => {
+                for w in &mut self.work {
+                    *w -= Work::raw(self.v);
+                }
+                self.tags.clear();
+            }
+            (false, true) => {
+                self.v = 0.0;
+                let tagged = self.active.iter().zip(&self.work);
+                let tags = tagged.map(|(p, w)| Reverse((tag_key(w.get()), p.id)));
+                self.tags.extend(tags);
+            }
+            _ => {}
+        }
+        self.served = served;
+    }
+
+    /// What the bottleneck serves until the next event.
+    pub fn served(&self) -> Served {
+        self.served
     }
 
     /// Whether every active packet holds a share until the next event.
@@ -444,14 +523,8 @@ impl Bottleneck {
     // gn:hot
     pub fn share(&self, idx: usize) -> f64 {
         match self.served {
-            Served::Idle => 0.0,
-            Served::One(i) => {
-                if i == idx {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
+            Served::One(i) if i == idx => 1.0,
+            Served::Idle | Served::One(_) => 0.0,
             Served::Even(s) => s,
             Served::Split => self.shares.get(idx).copied().unwrap_or(0.0),
         }
@@ -462,47 +535,54 @@ impl Bottleneck {
     ///
     /// This is the engine's *derived* event. A single served packet
     /// completes at `now + remaining`, bit for bit the share scan's
-    /// `now + remaining / 1.0`; a share vector keeps the exact scan
-    /// (strict `<`, first index wins) of the pre-calendar engine, and an
-    /// even split gives that scan's answer without a division per packet
-    /// (see [`even_completion`]).
+    /// `now + remaining / 1.0`; an even split completes the smallest
+    /// finish tag at `now + (tag − v) / s`, its packet found through the
+    /// slot index or, for an unindexed id, a scan of the active set; a
+    /// share vector keeps the exact scan (strict `<`, first index wins)
+    /// of the pre-calendar engine.
     // gn:hot
     pub fn peek_completion(&self, now: f64) -> (f64, usize) {
         match self.served {
-            Served::Idle => (f64::INFINITY, usize::MAX),
-            Served::One(i) => self
-                .remaining
-                .get(i)
-                .map_or((f64::INFINITY, usize::MAX), |r| (now + r.get(), i)),
-            Served::Even(s) => even_completion(now, s, &self.remaining),
-            Served::Split => split_completion(now, &self.remaining, |i| {
-                self.shares.get(i).copied().unwrap_or(0.0)
-            }),
+            Served::Idle => NONE,
+            Served::One(i) => self.work.get(i).map_or(NONE, |r| (now + r.get(), i)),
+            Served::Even(s) => {
+                let Some(&Reverse((key, id))) = self.tags.peek() else {
+                    return NONE;
+                };
+                let scan = || self.active.iter().position(|p| p.id == id);
+                let at = |i| (now + (tag_of_key(key) - self.v) / s, i);
+                self.position(id).or_else(scan).map_or(NONE, at)
+            }
+            Served::Split => {
+                let scan = self.work.iter().zip(&self.shares).enumerate();
+                scan.fold(NONE, |(t_done, done), (i, (r, &s))| {
+                    let t = now + r.get() / s;
+                    if s > 0.0 && t < t_done {
+                        (t, i)
+                    } else {
+                        (t_done, done)
+                    }
+                })
+            }
         }
     }
 
-    /// Drains `share × dt` of remaining work from every served packet
-    /// (`dt` itself from a single served packet, the same bits as
-    /// `1.0 × dt`; an even split computes `s × dt` once, the same bits
-    /// as each packet's own product).
+    /// Drains `share × dt` of remaining work from every served packet:
+    /// `dt` itself from a single served packet (the same bits as
+    /// `1.0 × dt`), and one step `s × dt` of the virtual clock under an
+    /// even split.
     // gn:hot
     pub fn drain(&mut self, dt: f64) {
         match self.served {
             Served::Idle => {}
             Served::One(i) => {
-                if let Some(r) = self.remaining.get_mut(i) {
+                if let Some(r) = self.work.get_mut(i) {
                     *r -= Work::raw(dt);
                 }
             }
-            Served::Even(s) => {
-                let done = Work::raw(s * dt);
-                for r in &mut self.remaining {
-                    *r -= done;
-                }
-            }
+            Served::Even(s) => self.v += s * dt,
             Served::Split => {
-                for (i, r) in self.remaining.iter_mut().enumerate() {
-                    let s = self.shares.get(i).copied().unwrap_or(0.0);
+                for (r, &s) in self.work.iter_mut().zip(&self.shares) {
                     if s > 0.0 {
                         *r -= Work::raw(s * dt);
                     }
@@ -518,89 +598,6 @@ impl Bottleneck {
         self.marking_threshold
             .is_some_and(|th| self.active.len() >= th)
     }
-}
-
-/// The split scan: the earliest `now + remaining / share` over packets
-/// with a positive share, strict `<` so the first index wins a tie, or
-/// `(∞, usize::MAX)` when no completion is finite.
-// gn:hot
-fn split_completion(now: f64, remaining: &[Work], share: impl Fn(usize) -> f64) -> (f64, usize) {
-    let mut t_done = f64::INFINITY;
-    let mut done_idx = usize::MAX;
-    for (i, r) in remaining.iter().enumerate() {
-        let s = share(i);
-        if s > 0.0 {
-            let t = now + r.get() / s;
-            if t < t_done {
-                t_done = t;
-                done_idx = i;
-            }
-        }
-    }
-    (t_done, done_idx)
-}
-
-/// The earliest completion when every packet holds the share `s > 0`:
-/// bit for bit [`split_completion`] with every share equal to `s`.
-///
-/// For a fixed `s > 0`, `t(r) = now + r / s` is non-decreasing in `r`
-/// under round-to-nearest. The scan's answer is therefore the first
-/// packet holding the least work `m1`, at its own `t` — unless a packet
-/// before it, holding more work, completes at the same rounded time and
-/// wins the tie. Every packet before the first `m1` holds more (or NaN,
-/// which never completes), and the least of them completes first among
-/// them, so that can only happen when its completion equals `t(m1)`.
-/// Then, and when `t(m1)` is not finite, this runs the split scan
-/// itself.
-// gn:hot
-fn even_completion(now: f64, s: f64, remaining: &[Work]) -> (f64, usize) {
-    let least = least_work(remaining);
-    let t_least = now + least / s;
-    if t_least.is_finite() {
-        if let Some(i) = first_holding(remaining, least) {
-            let before = least_work(&remaining[..i]);
-            if now + before / s != t_least {
-                return (now + remaining[i].get() / s, i);
-            }
-        }
-    }
-    split_completion(now, remaining, |_| s)
-}
-
-/// The least remaining work (`∞` when empty; NaN is never the least),
-/// reduced in [`LANES`] independent lanes.
-// gn:hot
-fn least_work(remaining: &[Work]) -> f64 {
-    let mut lanes = [f64::INFINITY; LANES];
-    let chunks = remaining.chunks_exact(LANES);
-    let tail = chunks.remainder();
-    for chunk in chunks {
-        for (m, r) in lanes.iter_mut().zip(chunk) {
-            *m = if r.get() < *m { r.get() } else { *m };
-        }
-    }
-    lanes
-        .into_iter()
-        .chain(tail.iter().map(|r| r.get()))
-        .fold(f64::INFINITY, |m, r| if r < m { r } else { m })
-}
-
-/// The first index whose remaining work equals `work`, testing
-/// [`LANES`] packets per step.
-// gn:hot
-fn first_holding(remaining: &[Work], work: f64) -> Option<usize> {
-    let holds = |r: &Work| r.get() == work;
-    let chunks = remaining.chunks_exact(LANES);
-    let tail_start = remaining.len() - chunks.remainder().len();
-    for (k, chunk) in chunks.enumerate() {
-        if chunk.iter().fold(false, |hit, r| hit | holds(r)) {
-            return chunk.iter().position(holds).map(|j| k * LANES + j);
-        }
-    }
-    remaining[tail_start..]
-        .iter()
-        .position(holds)
-        .map(|j| tail_start + j)
 }
 
 #[cfg(test)]
@@ -710,10 +707,10 @@ mod tests {
     /// Every active packet is indexed at its position, and its remaining
     /// work (undrained: its size) sits at the same position.
     fn assert_index_consistent(b: &Bottleneck) {
-        assert_eq!(b.remaining.len(), b.active.len());
+        assert_eq!(b.work.len(), b.active.len());
         for (i, p) in b.active.iter().enumerate() {
             assert_eq!(b.position(p.id), Some(i), "packet {}", p.id);
-            assert_eq!(b.remaining[i], p.size, "packet {}", p.id);
+            assert_eq!(b.work[i], p.size, "packet {}", p.id);
         }
         assert_ne!(b.slots.front(), Some(&VACANT), "window starts at a live id");
     }
@@ -756,7 +753,7 @@ mod tests {
         let mut fifo = Fifo::default();
         b.serve(&mut fifo, SimTime::ZERO);
         assert_eq!(b.served, Served::Idle);
-        assert_eq!(b.peek_completion(0.0), (f64::INFINITY, usize::MAX));
+        assert_eq!(b.peek_completion(0.0), NONE);
         b.serve(&mut ProcessorSharing, SimTime::ZERO);
         assert_eq!(b.served, Served::Idle);
         for id in 0..3 {
@@ -768,13 +765,13 @@ mod tests {
         assert_eq!(b.served, Served::One(0));
         assert_eq!(b.peek_completion(2.0), (3.0, 0));
         b.drain(0.25);
-        assert_eq!(b.remaining[0], Work::raw(0.75));
+        assert_eq!(b.work[0], Work::raw(0.75));
         assert_eq!((b.share(0), b.share(1)), (1.0, 0.0));
-        // A discipline that never saw these packets: the split fallback.
+        // A discipline that never saw these packets: an even split.
         b.serve(&mut Fifo::default(), SimTime::ZERO);
-        assert_eq!(b.served, Served::Split);
+        assert_eq!(b.served, Served::Even(1.0 / 3.0));
         assert_eq!(b.share(2), 1.0 / 3.0);
-        // Processor sharing: an even split, served without shares.
+        // Processor sharing: the same even split, without shares.
         b.serve(&mut ProcessorSharing, SimTime::ZERO);
         assert_eq!(b.served, Served::Even(1.0 / 3.0));
         assert_eq!(b.share(2), 1.0 / 3.0);
@@ -792,107 +789,116 @@ mod tests {
         assert_eq!(b.share(2), 1.0);
     }
 
-    /// Processor sharing that keeps the default `service`: the bottleneck
-    /// serves it through its share vector.
+    /// A discipline answering `service` with `.0` and `shares` with `.1`.
     #[derive(Debug)]
-    struct EvenShares;
+    struct Answer(Service, Vec<f64>);
 
-    impl QDisc for EvenShares {
+    impl QDisc for Answer {
         fn name(&self) -> &'static str {
-            "PS (shares)"
+            "answer"
         }
         fn on_arrival(&mut self, _pkt: &ActivePacket, _now: SimTime) {}
         fn on_departure(&mut self, _pkt: &ActivePacket, _now: SimTime) {}
-        fn shares(&mut self, active: &[ActivePacket], now: SimTime, out: &mut Vec<f64>) {
-            crate::qdisc::ProcessorSharing.shares(active, now, out);
+        fn shares(&mut self, _active: &[ActivePacket], _now: SimTime, out: &mut Vec<f64>) {
+            out.clone_from(&self.1);
+        }
+        fn service(&mut self, _now: SimTime) -> Service {
+            self.0
         }
     }
 
-    /// One remaining-work value: repeats from a small pool, ±0, tiny
-    /// negatives, ±∞, NaN, arbitrary values, or (in `collide` mode, and
-    /// for kind 9) `0.5` plus a few ulps, which `now + r/s` at `now =
-    /// 2^20` rounds to one completion time.
-    fn work_value(collide: bool, (kind, x, k): (u8, f64, u64)) -> f64 {
-        const POOL: [f64; 4] = [0.5, 1.0, 1e-3, 2.75];
-        match kind {
-            _ if collide => f64::from_bits(0.5f64.to_bits() + k),
-            0..=2 => POOL[usize::try_from(k).unwrap_or(0)],
-            3 => 0.0,
-            4 => -0.0,
-            5 => -1e-15 * (1.0 + x),
-            6 => f64::INFINITY,
-            7 => f64::NEG_INFINITY,
-            8 => f64::NAN,
-            9 => f64::from_bits(0.5f64.to_bits() + k),
-            _ => x,
-        }
-    }
-
-    /// `(now, dt, remaining work)`; a third of the cases collide, and a
-    /// few run at a NaN `now`, whose completion is never finite.
-    fn even_split_case() -> impl proptest::strategy::Strategy<Value = (f64, f64, Vec<f64>)> {
-        use proptest::prelude::*;
-        let element = (0u8..14, 0.0..4.0f64, 0u64..4);
-        (
-            0u8..3,
-            0usize..5,
-            0.0..3.0f64,
-            proptest::collection::vec(element, 0..=40),
-        )
-            .prop_map(|(mode, now, dt, elements)| {
-                let collide = mode == 0;
-                let now = if collide {
-                    1_048_576.0
-                } else {
-                    [0.0, 1.0, 1_048_576.0, 1234.567, f64::NAN][now]
-                };
-                let work = elements
-                    .into_iter()
-                    .map(|e| work_value(collide, e))
-                    .collect();
-                (now, dt, work)
-            })
-    }
-
-    /// A bottleneck holding one packet per work value, served by `qdisc`.
-    fn holding(work: &[f64], qdisc: &mut dyn QDisc, now: f64) -> Bottleneck {
+    /// A bottleneck holding packets `0..k`, served by `answer`.
+    fn serving(k: u64, answer: Service, shares: Vec<f64>) -> Bottleneck {
         let mut b = Bottleneck::new(1, None);
-        for id in 0..work.len() {
-            b.admit(packet(conv::index_to_u64(id), 0));
+        for id in 0..k {
+            b.admit(packet(id, 0));
         }
-        b.remaining = work.iter().map(|&r| Work::raw(r)).collect();
-        b.serve(qdisc, SimTime::raw(now));
+        b.serve(&mut Answer(answer, shares), SimTime::ZERO);
         b
     }
 
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2048))]
+    #[test]
+    fn even_share_vectors_run_on_the_clock_and_others_stay_split() {
+        let third = 1.0 / 3.0;
+        let mut b = serving(3, Service::Split, vec![third; 3]);
+        assert_eq!((b.served, b.tags.len()), (Served::Even(third), 3));
+        assert_eq!(b.peek_completion(2.0), (2.0 + 1.0 / third, 0));
+        let next_up = f64::from_bits(third.to_bits() + 1);
+        for uneven in [
+            vec![0.5, 0.25, 0.25],
+            vec![0.5, 0.5],
+            vec![0.25; 4],
+            vec![third, third, next_up],
+            vec![0.0; 3],
+            vec![f64::INFINITY; 3],
+            vec![f64::NAN; 3],
+        ] {
+            b.serve(&mut Answer(Service::Split, uneven.clone()), SimTime::ZERO);
+            assert_eq!((b.served, b.tags.len()), (Served::Split, 0), "{uneven:?}");
+            // Each tag came back as the packet's work, its whole size.
+            assert_index_consistent(&b);
+            b.serve(&mut Answer(Service::Split, vec![third; 3]), SimTime::ZERO);
+        }
+        // A lone packet holding the whole server is served as `One`.
+        for (answer, shares) in [(Service::Split, vec![1.0]), (Service::Even, vec![])] {
+            let lone = serving(1, answer, shares);
+            assert_eq!((lone.served, lone.tags.len()), (Served::One(0), 0));
+        }
+    }
 
-        #[test]
-        fn even_split_completes_and_drains_like_the_share_scan(
-            (now, dt, work) in even_split_case()
-        ) {
-            let mut even = holding(&work, &mut crate::qdisc::ProcessorSharing, now);
-            let mut split = holding(&work, &mut EvenShares, now);
-            proptest::prop_assert_eq!(split.served, Served::Split);
-            let expected = if work.is_empty() {
-                Served::Idle
-            } else {
-                Served::Even(1.0 / work.len() as f64)
-            };
-            proptest::prop_assert_eq!(even.served, expected);
-            let (t_even, i_even) = even.peek_completion(now);
-            let (t_split, i_split) = split.peek_completion(now);
-            proptest::prop_assert!(
-                (t_even.to_bits(), i_even) == (t_split.to_bits(), i_split),
-                "now {now} work {work:?}: even ({t_even}, {i_even}), split ({t_split}, {i_split})"
-            );
-            even.drain(dt);
-            split.drain(dt);
-            let bits = |b: &Bottleneck| -> Vec<u64> {
-                b.remaining.iter().map(|r| r.get().to_bits()).collect()
-            };
-            proptest::prop_assert!(bits(&even) == bits(&split), "dt {dt} work {work:?}");
+    #[test]
+    fn tags_leave_with_their_packets_and_unindexed_ids_are_scanned() {
+        let mut b = serving(4, Service::Even, vec![]);
+        // Packet 0 holds the smallest tag; packet 2 leaves first.
+        assert_eq!(b.depart(2).id, 2);
+        assert!(b.tags.iter().all(|&Reverse((_, id))| id != 2));
+        // Out of sequence, so unindexed, and holding the least work.
+        b.admit(ActivePacket {
+            size: Work::raw(0.5),
+            ..packet(40, 0)
+        });
+        assert_eq!(b.position(40), None);
+        // Serving each completion in turn departs every packet in tag
+        // order, the last one alone on the server, off the clock.
+        let (mut now, mut order) = (0.0, Vec::new());
+        while !b.active.is_empty() {
+            b.serve(&mut Answer(Service::Even, vec![]), SimTime::raw(now));
+            assert_eq!(b.tags.len(), usize::from(b.serves_all()) * b.active.len());
+            let (t, i) = b.peek_completion(now);
+            b.drain(t - now);
+            now = t;
+            order.push(b.depart(i).id);
+        }
+        assert_eq!(order, vec![40, 0, 1, 3]);
+        // Work conservation: sizes 0.5, 1, 2 and 4 take 7.5 time units.
+        assert!((now - 7.5).abs() < 1e-12, "{now}");
+    }
+
+    #[test]
+    fn even_one_even_round_trip_keeps_each_packets_work() {
+        /// Serves `answer` for `dt`, and drains `want` by hand alike.
+        fn step(b: &mut Bottleneck, want: &mut [f64], answer: Service, dt: f64) {
+            b.serve(&mut Answer(answer, vec![]), SimTime::ZERO);
+            b.drain(dt);
+            let k = want.len() as f64;
+            match b.served {
+                Served::One(i) => want[i] -= dt,
+                _ => want.iter_mut().for_each(|w| *w -= dt / k),
+            }
+        }
+        let mut b = serving(5, Service::Even, vec![]);
+        let mut want: Vec<f64> = (1..=5).map(f64::from).collect();
+        step(&mut b, &mut want, Service::Even, 0.3);
+        step(&mut b, &mut want, Service::One(0), 0.2);
+        step(&mut b, &mut want, Service::Even, 1.1);
+        // Admitted on the clock, at its whole size.
+        b.admit(packet(5, 0));
+        want.push(6.0);
+        step(&mut b, &mut want, Service::Even, 0.5);
+        b.serve(&mut Answer(Service::One(0), vec![]), SimTime::ZERO);
+        assert_eq!((b.served, b.tags.len()), (Served::One(0), 0));
+        for (got, w) in b.work.iter().zip(&want) {
+            assert!((got.get() - w).abs() <= 1e-12 * w, "{got:?} vs {w}");
         }
     }
 }

@@ -28,16 +28,17 @@
 //! |---|---|---|
 //! | [`Fifo`] | oldest packet (id deque) | proportional `r_i/(1−Σr)` |
 //! | [`LifoPreemptive`] | newest packet (id stack) | proportional |
-//! | [`ProcessorSharing`] | `1/k` each (even split) | proportional |
+//! | [`ProcessorSharing`] | `1/k` each (even split, on a virtual clock) | proportional |
 //! | [`PreemptivePriority`] | oldest packet of best class (deque per class) | serial `g(Λ_k)−g(Λ_{k−1})` |
 //! | [`FsPriorityTable`] | oldest packet of best Table 1 level (deque per level) | **Fair Share** |
 //! | [`StartTimeFairQueueing`] | min start tag, non-preemptive (tag min-heap) | ≈ Fair-Share-like (§5.2) |
 //!
 //! The engine-equivalence tests and the pinned result goldens
-//! (`tests/result_goldens.rs`) pin that every discipline produces
-//! bitwise-identical simulations to the share-scan implementations this
-//! module started from, and `tests/even_split.rs` that processor
-//! sharing's even split runs bit for bit like its share vector.
+//! (`tests/result_goldens.rs`) pin that every single-server discipline
+//! produces bitwise-identical simulations to the share-scan
+//! implementations this module started from, and processor sharing, on
+//! a virtual clock, within 1e-9 relative; `tests/even_split.rs` pins it
+//! through `service` and through `shares` bit for bit.
 
 use crate::error::DesError;
 use crate::rng::ExpStream;
@@ -84,7 +85,8 @@ pub enum Service {
 /// [`Service::Even`] answer without a share vector, and calls `shares`
 /// only when `service` returns [`Service::Split`], or when the answer
 /// names a packet the engine does not hold (a discipline that missed a
-/// hook); the server never idles while packets wait.
+/// hook); the server never idles while packets wait, and an even share
+/// vector is served as `Even`.
 pub trait QDisc: Send + Debug {
     /// Human-readable name (used in experiment tables).
     fn name(&self) -> &'static str;
@@ -421,14 +423,14 @@ impl QDisc for FsPriorityTable {
 /// `f64::total_cmp` order as an unsigned key: the sign-magnitude flip
 /// `total_cmp` itself applies, shifted so negatives sort below positives.
 // gn:hot
-fn tag_key(tag: f64) -> u64 {
+pub(crate) fn tag_key(tag: f64) -> u64 {
     let bits = tag.to_bits();
     bits ^ ((bits.cast_signed() >> 63).cast_unsigned() >> 1) ^ (1 << 63)
 }
 
 /// Inverse of [`tag_key`].
 // gn:hot
-fn tag_of_key(key: u64) -> f64 {
+pub(crate) fn tag_of_key(key: u64) -> f64 {
     let bits = key ^ (1 << 63);
     f64::from_bits(bits ^ ((bits.cast_signed() >> 63).cast_unsigned() >> 1))
 }

@@ -1,15 +1,14 @@
 //! Processor sharing's even split against its own share vector.
 //!
 //! `ProcessorSharing` answers `Service::Even`, which the bottleneck
-//! serves without a share vector: the next completion comes from the
-//! least remaining work, and one product `s × dt` drains every packet.
-//! `SplitOnly` forwards the hooks and `shares` but keeps the default
-//! `service`, so the same discipline runs through the share scan, the
-//! path a decorator that forwards only `shares` still takes. Both must
-//! give the same run, bit for bit: every `SimResult` field by `to_bits`,
-//! the flows and the report's peaks, on random mixes that include
-//! overload (total open-loop load 1.2–2.0), with and without a
-//! closed-loop AIMD flow.
+//! serves on a GPS virtual clock without a share vector. `SplitOnly`
+//! forwards the hooks and `shares` but keeps the default `service`, so
+//! the same discipline answers with a share vector, the path a decorator
+//! that forwards only `shares` takes; the bottleneck must recognize
+//! that vector as the same even split. Both must give the same run, bit
+//! for bit: every `SimResult` field by `to_bits`, the flows and the
+//! report's peaks, on random mixes that include overload (total
+//! open-loop load 1.2–2.0), with and without a closed-loop AIMD flow.
 
 use greednet_des::qdisc::QDisc;
 use greednet_des::{

@@ -9,13 +9,18 @@
 //!
 //! * every configuration `engine_equivalence.rs` runs (six disciplines ×
 //!   seeds 0..8, the overloaded Fair Share case, three service laws under
-//!   SFQ, and zero-rate users), and
+//!   SFQ, and zero-rate users; its overloaded PS case is left to the
+//!   overload mix's deeper PS backlog), and
 //! * the benchmark's overload mix (§5.2 FTP/Telnet plus a rate-1.0
 //!   blaster, load 1.66) under its five disciplines, run through
 //!   `Engine` with no warm-up.
 //!
 //! A mismatch prints the whole table of fresh hashes; re-pin only for a
 //! deliberate change of simulation semantics, and say why.
+//!
+//! Re-pinned once, the ten PS rows only: processor sharing moved onto a
+//! GPS virtual clock, which rounds differently from each packet's own
+//! drain (`engine_equivalence.rs` holds it within 1e-9 relative).
 
 use greednet_des::scenarios::{DisciplineKind, Scenario};
 use greednet_des::{Engine, EngineConfig, ServiceDist, SimResult, SimTime};
@@ -184,15 +189,15 @@ const EQUIVALENCE_GOLDENS: &[(&str, u64)] = &[
     ("LIFO-PR seed 6", 0xff13522e1cf552d6),
     ("LIFO-PR seed 7", 0x25a5adef0f6387c8),
     ("LIFO-PR seed 8", 0xe3435e1df371deb3),
-    ("PS seed 0", 0x733071df1ea678c1),
-    ("PS seed 1", 0xb0d5f89c11385f53),
-    ("PS seed 2", 0x13bb6f17e2e6b831),
-    ("PS seed 3", 0xccbdcd4f71a4117f),
-    ("PS seed 4", 0x382ca4249547f8b5),
-    ("PS seed 5", 0x00178b7bbeb48a71),
-    ("PS seed 6", 0xac8fcde75161fbc6),
-    ("PS seed 7", 0xa2d28eb965160135),
-    ("PS seed 8", 0x03bac1cb5fece89d),
+    ("PS seed 0", 0x30614b9d77c803e3),
+    ("PS seed 1", 0xc6f99bd8d7da4d5b),
+    ("PS seed 2", 0x61fa8d7da1b08f59),
+    ("PS seed 3", 0x600eedd7d359acbe),
+    ("PS seed 4", 0x3fafa9bbd9ee2391),
+    ("PS seed 5", 0x3917de5bfc89b329),
+    ("PS seed 6", 0xed6373fecfa0c5e1),
+    ("PS seed 7", 0x7d633ece7e0e6e22),
+    ("PS seed 8", 0x71466719b0a59aab),
     ("SerialPrio seed 0", 0xcdf04b349c8f6394),
     ("SerialPrio seed 1", 0x046323d50e43161f),
     ("SerialPrio seed 2", 0x016e8c2cdcddb0d3),
@@ -232,7 +237,7 @@ const EQUIVALENCE_GOLDENS: &[(&str, u64)] = &[
 
 const OVERLOAD_GOLDENS: &[(&str, u64)] = &[
     ("overload mix FIFO", 0x10dd0a9e5cd75dea),
-    ("overload mix PS", 0x8502586a8736e766),
+    ("overload mix PS", 0x6a30486510f36c8a),
     ("overload mix SerialPrio", 0x3af44c4b2bb8e166),
     ("overload mix FQ(SFQ)", 0x9d7ee7c97860a412),
     ("overload mix FairShare", 0x112eb0844a752a94),

@@ -6,6 +6,13 @@
 //! E13, E16 and T1), at the smoke budget on one thread, for seeds 0
 //! and 1. A mismatch prints the whole table of fresh hashes; re-pin only
 //! for a deliberate change of simulation semantics, and say why.
+//!
+//! Re-pinned once: the E9 and E10b rows, the two pinned experiments that
+//! run processor sharing, moved when its even split moved onto a GPS
+//! virtual clock, which rounds differently from each packet's own drain.
+//! Their PS numbers moved by at most 2e-13 relative; no other number in
+//! either report moved, and every other row is the hash recorded before
+//! the simulator API changed.
 
 use greednet_bench::experiments::registry;
 use greednet_runtime::{Budget, ExpCtx, Format};
@@ -23,12 +30,12 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// `(experiment id, seed, hash of its JSON report)`.
 #[rustfmt::skip]
 const GOLDENS: &[(&str, u64, u64)] = &[
-    ("e9", 0, 0xfe77191cf0b2fb4e),
-    ("e9", 1, 0x2ba55f04e0845e37),
+    ("e9", 0, 0x9b2f36a2dfc8b79d),
+    ("e9", 1, 0xb5b9b2c8093f5d26),
     ("e10a", 0, 0xa4f32390a3f4718d),
     ("e10a", 1, 0x86036515fb3f542f),
-    ("e10b", 0, 0xc5f510d876337ed3),
-    ("e10b", 1, 0x638868d85df7ca34),
+    ("e10b", 0, 0x2067f1b6b4f24656),
+    ("e10b", 1, 0x01fb03e72dcf8c33),
     ("e13", 0, 0xe27d86107a5ebff5),
     ("e13", 1, 0xff88fab7308f0164),
     ("e16", 0, 0xde94adcb8f16090e),
