@@ -15,6 +15,14 @@
 //! heap internals — which the workspace's bitwise-determinism contract
 //! requires.
 //!
+//! A fired event usually schedules its own successor (an open-loop
+//! `Fire` schedules the next one), so the engine peeks at the earliest
+//! event, lets it fire, and then puts the first command its reaction
+//! scheduled in its place with [`EventQueue::replace_earliest`]: one
+//! sift of the heap instead of a pop and a push, with the sequence number
+//! `schedule` would assign, so the pending set and the pop order are
+//! those of the pop followed by the schedule.
+//!
 //! The storage backend is abstracted behind [`EventQueue`] so a calendar
 //! queue or hierarchical timing wheel can replace the binary heap
 //! without touching the engine; [`EventCalendar`] is the binary-heap
@@ -49,8 +57,20 @@ pub trait EventQueue<T> {
     /// Removes and returns the earliest pending event.
     fn pop(&mut self) -> Option<ScheduledEvent<T>>;
 
+    /// The earliest pending event, left in place.
+    fn peek(&self) -> Option<&ScheduledEvent<T>>;
+
+    /// Replaces the earliest pending event with `item` firing at `time`,
+    /// exactly as [`pop`](EventQueue::pop) then
+    /// [`schedule`](EventQueue::schedule) would (on an empty queue, as
+    /// `schedule` alone): the same sequence number, which it returns, the
+    /// same pending events and the same pop order.
+    fn replace_earliest(&mut self, time: SimTime, item: T) -> u64;
+
     /// Fire time of the earliest pending event.
-    fn peek_time(&self) -> Option<SimTime>;
+    fn peek_time(&self) -> Option<SimTime> {
+        self.peek().map(|e| e.time)
+    }
 
     /// Number of pending events.
     fn len(&self) -> usize;
@@ -77,6 +97,13 @@ impl<T> EventCalendar<T> {
             next_seq: 0,
         }
     }
+
+    /// Assigns the next sequence number.
+    fn take_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
 }
 
 impl<T> Default for EventCalendar<T> {
@@ -88,24 +115,32 @@ impl<T> Default for EventCalendar<T> {
 impl<T> EventQueue<T> for EventCalendar<T> {
     // gn:hot(amortized)
     fn schedule(&mut self, time: SimTime, item: T) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Slot { time, seq, item });
+        let seq = self.take_seq();
+        self.heap.push(Slot(ScheduledEvent { time, seq, item }));
         seq
     }
 
     // gn:hot
     fn pop(&mut self) -> Option<ScheduledEvent<T>> {
-        self.heap.pop().map(|s| ScheduledEvent {
-            time: s.time,
-            seq: s.seq,
-            item: s.item,
-        })
+        self.heap.pop().map(|s| s.0)
     }
 
     // gn:hot
-    fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.time)
+    fn peek(&self) -> Option<&ScheduledEvent<T>> {
+        self.heap.peek().map(|s| &s.0)
+    }
+
+    // gn:hot(amortized)
+    fn replace_earliest(&mut self, time: SimTime, item: T) -> u64 {
+        let seq = self.take_seq();
+        let slot = Slot(ScheduledEvent { time, seq, item });
+        if let Some(mut top) = self.heap.peek_mut() {
+            // Dropping `top` sifts the new event down from the root.
+            *top = slot;
+            return seq;
+        }
+        self.heap.push(slot);
+        seq
     }
 
     fn len(&self) -> usize {
@@ -117,17 +152,11 @@ impl<T> EventQueue<T> for EventCalendar<T> {
 /// the "greatest" slot is the one with the earliest (`total_cmp`) time,
 /// lowest sequence number on ties.
 #[derive(Debug)]
-struct Slot<T> {
-    time: SimTime,
-    seq: u64,
-    item: T,
-}
+struct Slot<T>(ScheduledEvent<T>);
 
 impl<T> PartialEq for Slot<T> {
     fn eq(&self, other: &Self) -> bool {
-        // `seq` is unique per calendar, so equality is seq equality; the
-        // time check keeps `eq` consistent with `cmp` by construction.
-        self.seq == other.seq && self.time.get().total_cmp(&other.time.get()).is_eq()
+        self.cmp(other).is_eq()
     }
 }
 
@@ -142,11 +171,11 @@ impl<T> PartialOrd for Slot<T> {
 impl<T> Ord for Slot<T> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // Reversed on both keys: earliest time first, then FIFO on ties.
-        other
-            .time
+        let (a, b) = (&self.0, &other.0);
+        b.time
             .get()
-            .total_cmp(&self.time.get())
-            .then_with(|| other.seq.cmp(&self.seq))
+            .total_cmp(&a.time.get())
+            .then_with(|| b.seq.cmp(&a.seq))
     }
 }
 
@@ -191,6 +220,20 @@ mod tests {
         // total_cmp: -0.0 < +0.0 < inf.
         let order: Vec<&str> = std::iter::from_fn(|| cal.pop()).map(|e| e.item).collect();
         assert_eq!(order, ["nz", "pz", "inf"]);
+    }
+
+    #[test]
+    fn replacing_the_earliest_takes_the_next_seq() {
+        let mut cal = EventCalendar::new();
+        // On an empty calendar a replacement is a schedule.
+        assert_eq!(cal.replace_earliest(at(4.0), "a"), 0);
+        assert_eq!(cal.schedule(at(4.0), "b"), 1);
+        assert_eq!(cal.peek().map(|e| (e.seq, e.item)), Some((0, "a")));
+        // "a" fires and its successor ties with "b": seq 2 pops after it.
+        assert_eq!(cal.replace_earliest(at(4.0), "c"), 2);
+        assert_eq!(cal.len(), 2);
+        let order: Vec<&str> = std::iter::from_fn(|| cal.pop()).map(|e| e.item).collect();
+        assert_eq!(order, ["b", "c"]);
     }
 
     #[test]

@@ -36,10 +36,15 @@
 //! splits per source, arrivals then sizes), the completion/arrival
 //! scans, the `t_done <= t_arr` departure tie-break, the statistics
 //! accumulation order, and every float expression are preserved
-//! op-for-op, except that processor sharing's virtual clock rounds
-//! differently (same counts, every statistic within 1e-9 relative).
-//! `tests/engine_equivalence.rs` pins this against an embedded copy of
-//! the old loop for seeds 0..8 across all six disciplines.
+//! op-for-op, with two exceptions. Processor sharing's virtual clock
+//! rounds differently (same counts, every statistic within 1e-9
+//! relative). And the batch windows split at the exact first time past
+//! each window, where the old loop split at the nominal end
+//! `warmup + (w + 1)·window_len`, which can round back into the window
+//! (and then lost time) or forward; the splits agree wherever every
+//! window end is exact, as at round horizons. `tests/engine_equivalence.rs`
+//! pins this against an embedded copy of the old loop for seeds 0..8
+//! across all six disciplines.
 
 use crate::calendar::{EventCalendar, EventQueue};
 use crate::entities::{
@@ -400,7 +405,7 @@ impl Engine {
                 }
             }
         }
-        let mut max_calendar = commit(&mut pending, &mut calendar, probe);
+        let mut max_calendar = commit(&mut pending, &mut calendar, false, probe);
 
         bottleneck.serve(qdisc, SimTime::raw(now));
         if P::ENABLED {
@@ -425,21 +430,21 @@ impl Engine {
             if now >= horizon {
                 break;
             }
-            if !self.dispatch(
+            let Some(fired) = self.dispatch(
                 (t_done, t_cal, done_idx),
                 now,
                 &mut sources,
                 &mut bottleneck,
-                &mut calendar,
+                &calendar,
                 &mut pending,
                 qdisc,
                 &mut stats,
                 &mut next_id,
                 probe,
-            ) {
+            ) else {
                 break;
-            }
-            max_calendar = max_calendar.max(commit(&mut pending, &mut calendar, probe));
+            };
+            max_calendar = max_calendar.max(commit(&mut pending, &mut calendar, fired, probe));
             bottleneck.serve(qdisc, SimTime::raw(now));
             if P::ENABLED {
                 emit_share_transitions(&bottleneck, &mut serving, next_id, now, probe);
@@ -464,9 +469,11 @@ impl Engine {
     /// completion when `t_done <= t_cal` (ties go to the departure, like
     /// the old engine's `t_done <= t_arr`), otherwise the earliest
     /// calendar command. Extracted verbatim from the `run_probed` loop —
-    /// `tests/engine_equivalence.rs` pins the motion bitwise. Returns
-    /// `false` only on the unreachable empty-calendar guard, which ends
-    /// the run (keeps the loop total without panicking).
+    /// `tests/engine_equivalence.rs` pins the motion bitwise. A fired
+    /// command stays on the calendar, for [`commit`] to replace, and the
+    /// answer says whether one fired; `None` comes only from the
+    /// unreachable empty-calendar guard, which ends the run (keeps the
+    /// loop total without panicking).
     // gn:hot(amortized)
     #[expect(
         clippy::too_many_arguments,
@@ -478,13 +485,13 @@ impl Engine {
         now: f64,
         sources: &mut [SourceState],
         bottleneck: &mut Bottleneck,
-        calendar: &mut EventCalendar<Cmd>,
+        calendar: &EventCalendar<Cmd>,
         pending: &mut EventList,
         qdisc: &mut dyn QDisc,
         stats: &mut Stats,
         next_id: &mut u64,
         probe: &mut P,
-    ) -> bool {
+    ) -> Option<bool> {
         let cfg = &self.config;
         if t_done <= t_cal {
             // Departure.
@@ -527,12 +534,13 @@ impl Engine {
             if pkt.arrival.get() >= stats.warmup {
                 stats.on_departure(pkt.user, now - pkt.arrival.get());
             }
+            Some(false)
         } else {
             // A calendar command fires.
-            let Some(ev) = calendar.pop() else {
+            let Some(ev) = calendar.peek() else {
                 // Unreachable: `t_cal` was finite, so the calendar is
                 // non-empty; keep the loop total anyway (GN03).
-                return false;
+                return None;
             };
             if P::ENABLED {
                 probe.on_calendar(&CalendarEvent {
@@ -600,8 +608,8 @@ impl Engine {
                     }
                 }
             }
+            Some(true)
         }
-        true
     }
 }
 
@@ -647,15 +655,24 @@ fn fill_window<P: Probe>(
 
 /// Commits buffered commands to the calendar (insertion order, so the
 /// calendar's tie-breaking sequence numbers follow schedule order) and
-/// returns the number of pending commands.
+/// returns the number of pending commands. When `fired`, the earliest
+/// command has fired but still holds its slot: the first buffered command
+/// takes that slot in one sift (an open-loop `Fire` schedules its
+/// successor), the same sequence numbers and pop order as popping the
+/// fired command first, and with nothing buffered it is popped.
 // gn:hot(amortized)
 fn commit<P: Probe>(
     pending: &mut EventList,
     calendar: &mut EventCalendar<Cmd>,
+    mut fired: bool,
     probe: &mut P,
 ) -> usize {
     for (time, cmd) in pending.drain() {
-        let seq = calendar.schedule(time, cmd);
+        let seq = if std::mem::take(&mut fired) {
+            calendar.replace_earliest(time, cmd)
+        } else {
+            calendar.schedule(time, cmd)
+        };
         if P::ENABLED {
             probe.on_calendar(&CalendarEvent {
                 time: time.get(),
@@ -664,20 +681,36 @@ fn commit<P: Probe>(
             });
         }
     }
+    if fired {
+        calendar.pop();
+    }
     calendar.len()
 }
 
-/// The statistics integrator, ported op-for-op from the drain-loop
-/// engine: per-user queue areas (total and per batch window), Welford
-/// delay moments, reservoir-sampled delay percentiles, and the
-/// time-weighted total-occupancy distribution.
+/// The statistics integrator: per-user queue areas (total and per batch
+/// window), Welford delay moments, reservoir-sampled delay percentiles,
+/// and the time-weighted total-occupancy distribution.
+///
+/// A measured time `t` falls in batch window
+/// `window_of(t) = ⌊(t − warmup) / window_len⌋`, capped at the last one.
+/// That map is monotone in `t`, so `Stats` caches the window the
+/// integration has reached and the exact first time past it, and divides
+/// only when a segment crosses into the next window. The nominal end
+/// `warmup + (w + 1)·window_len` can round to either side of that first
+/// time; splitting at the first time itself puts every segment in the
+/// window `window_of` names, so the window areas add up to the total.
 struct Stats {
     n: usize,
     warmup: f64,
     horizon: f64,
     windows: usize,
     window_len: f64,
-    window_area: Vec<Vec<f64>>,
+    /// The batch window the integration has reached.
+    window: usize,
+    /// The first time past `window` (`+∞` in the last window).
+    window_end: f64,
+    /// `window_area[w * n + u]`: user `u`'s queue area in window `w`.
+    window_area: Vec<f64>,
     area: Vec<f64>,
     delays: Vec<Welford>,
     completed: Vec<u64>,
@@ -700,7 +733,10 @@ impl Stats {
             horizon,
             windows: cfg.windows,
             window_len: (horizon - warmup) / cfg.windows as f64,
-            window_area: vec![vec![0.0f64; cfg.windows]; n],
+            // No window is cached yet: the first segment enters its own.
+            window: 0,
+            window_end: f64::NEG_INFINITY,
+            window_area: vec![0.0f64; cfg.windows.saturating_mul(n)],
             area: vec![0.0f64; n],
             delays: (0..n).map(|_| Welford::new()).collect(),
             completed: vec![0u64; n],
@@ -711,39 +747,65 @@ impl Stats {
         }
     }
 
-    /// Integrates the (constant) per-user counts over `[t0, t1)` and
-    /// charges the occupancy distribution, exactly as the old engine's
-    /// `accumulate` closure + dist update did.
+    /// Integrates the (constant) per-user counts over the measured part
+    /// of `[t0, t1)`, in total and per batch window, and charges the
+    /// occupancy distribution. Successive calls cover successive
+    /// intervals.
     // gn:hot
-    fn advance(&mut self, t0: f64, t1: f64, counts: &[usize], active_len: usize) {
+    #[inline]
+    fn advance(&mut self, t0: f64, t1: f64, counts: &[f64], active_len: usize) {
         let lo = t0.max(self.warmup);
-        if t1 > lo {
-            for (a, &c) in self.area.iter_mut().zip(counts) {
-                *a += c as f64 * (t1 - lo);
-            }
-            // Split across windows.
-            let mut t = lo;
-            while t < t1 {
-                // `t >= warmup` inside this loop, so the quotient is
-                // non-negative; the `min` caps rounding spillover.
-                let w =
-                    conv::f64_to_usize((t - self.warmup) / self.window_len).min(self.windows - 1);
-                let w_end = self.warmup + (w + 1) as f64 * self.window_len;
-                let seg_end = t1.min(w_end);
-                for (wa, &c) in self.window_area.iter_mut().zip(counts) {
-                    wa[w] += c as f64 * (seg_end - t);
-                }
-                if seg_end <= t {
-                    break; // numerical guard
-                }
-                t = seg_end;
-            }
+        if t1 <= lo {
+            return;
         }
-        let lo = t0.max(self.warmup);
-        if t1 > lo {
-            let k = active_len.min(DIST_CAP);
-            self.dist_time[k] += t1 - lo;
+        for (a, &c) in self.area.iter_mut().zip(counts) {
+            *a += c * (t1 - lo);
         }
+        let mut t = lo;
+        while t < t1 {
+            if t >= self.window_end {
+                self.enter_window(t);
+            }
+            let seg_end = t1.min(self.window_end);
+            let row = &mut self.window_area[self.window * self.n..];
+            for (wa, &c) in row.iter_mut().zip(counts) {
+                *wa += c * (seg_end - t);
+            }
+            t = seg_end;
+        }
+        self.dist_time[active_len.min(DIST_CAP)] += t1 - lo;
+    }
+
+    /// Moves the cached window on to the one holding `t`, at or past the
+    /// cached end: the one division per window.
+    #[cold]
+    fn enter_window(&mut self, t: f64) {
+        self.window = self.window_of(t);
+        self.window_end = self.first_past(self.window);
+    }
+
+    /// The batch window holding the measured time `t`.
+    fn window_of(&self, t: f64) -> usize {
+        // `t >= warmup`, so the quotient is non-negative; the `min` caps
+        // rounding spillover.
+        conv::f64_to_usize((t - self.warmup) / self.window_len).min(self.windows - 1)
+    }
+
+    /// The first time past window `w`, the least `t` with
+    /// `window_of(t) > w` (`+∞` for the last window): a few ulps' step
+    /// from the nominal end `warmup + (w + 1)·window_len`.
+    fn first_past(&self, w: usize) -> f64 {
+        if w + 1 >= self.windows {
+            return f64::INFINITY;
+        }
+        let mut t = self.warmup + (w + 1) as f64 * self.window_len;
+        while t < f64::INFINITY && self.window_of(t) <= w {
+            t = t.next_up();
+        }
+        while self.window_of(t.next_down()) > w {
+            t = t.next_down();
+        }
+        t
     }
 
     /// Records one measured completion.
@@ -760,8 +822,9 @@ impl Stats {
         let mean_queue: Vec<f64> = self.area.iter().map(|a| a / measured).collect();
         let queue_ci: Vec<MeanCi> = (0..self.n)
             .map(|u| {
-                let samples: Vec<f64> = self.window_area[u]
+                let samples: Vec<f64> = self.window_area[u..]
                     .iter()
+                    .step_by(self.n)
                     .map(|a| a / self.window_len)
                     .collect();
                 batch_means_ci(&samples, self.windows / 2).unwrap_or(MeanCi {
@@ -1135,6 +1198,51 @@ mod tests {
             "max_calendar {}",
             report.max_calendar
         );
+    }
+
+    #[test]
+    fn each_window_ends_at_the_first_time_past_it() {
+        let at = |horizon: f64, warmup: f64, windows: usize| {
+            let mut cfg = EngineConfig::open_loop(&[0.3, 0.3], horizon, 7);
+            cfg.warmup = SimTime::raw(warmup);
+            cfg.windows = windows;
+            Stats::new(&cfg)
+        };
+        let spans = [2_000.0, 50_000.0, 93_950.2, 134_450.807_687_99]
+            .map(|h| (h, h * DEFAULT_WARMUP_FRACTION));
+        // A measured span of three ulps: most windows hold no float.
+        let few_ulps = (1_000.0, 1_000.0f64.next_down().next_down().next_down());
+        for (horizon, warmup) in spans.into_iter().chain([few_ulps]) {
+            for windows in [4, 16, 32, 64] {
+                let stats = at(horizon, warmup, windows);
+                for w in 0..windows - 1 {
+                    let first = stats.first_past(w);
+                    assert!(stats.window_of(first) > w, "{w} of {windows}");
+                    assert!(w >= stats.window_of(first.next_down()), "{w} of {windows}");
+                }
+                assert_eq!(stats.first_past(windows - 1), f64::INFINITY);
+            }
+        }
+    }
+
+    #[test]
+    fn batch_means_match_the_mean_queue_where_window_ends_round_back() {
+        // Horizons with window ends that divide back into the window
+        // before them: the batch means once lost the time past such an
+        // end (a relative gap of 1.6e-5 and 4.7e-5 here).
+        for (horizon, windows) in [(93_950.2, 32), (134_450.807_687_99, 16)] {
+            let mut cfg = EngineConfig::open_loop(&[0.3, 0.3], horizon, 7);
+            cfg.windows = windows;
+            let r = Engine::new(cfg)
+                .unwrap()
+                .run(&mut Fifo::default())
+                .unwrap()
+                .result;
+            for (ci, &mean) in r.queue_ci.iter().zip(&r.mean_queue) {
+                let gap = (ci.mean - mean).abs() / mean;
+                assert!(gap <= 1e-12, "horizon {horizon}: {} vs {mean}", ci.mean);
+            }
+        }
     }
 
     /// Records every packet event of a run.

@@ -349,7 +349,9 @@ pub(crate) struct Bottleneck {
     base: u64,
     /// Largest active-set size so far.
     pub peak: usize,
-    pub counts: Vec<usize>,
+    /// Packets in the system per user, as floats for the statistics'
+    /// `count × dt` (exact below 2^53).
+    pub counts: Vec<f64>,
     pub marking_threshold: Option<usize>,
 }
 
@@ -365,7 +367,7 @@ impl Bottleneck {
             slots: VecDeque::new(),
             base: 0,
             peak: 0,
-            counts: vec![0usize; n],
+            counts: vec![0.0f64; n],
             marking_threshold,
         }
     }
@@ -403,7 +405,7 @@ impl Bottleneck {
         if pkt.id == self.base + conv::index_to_u64(self.slots.len()) {
             self.slots.push_back(self.active.len());
         }
-        self.counts[pkt.user] += 1;
+        self.counts[pkt.user] += 1.0;
         if self.serves_all() {
             let tag = self.v + pkt.size.get();
             self.tags.push(Reverse((tag_key(tag), pkt.id)));
@@ -431,7 +433,7 @@ impl Bottleneck {
                 self.tags.retain(|&Reverse((_, id))| id != pkt.id);
             }
         }
-        self.counts[pkt.user] -= 1;
+        self.counts[pkt.user] -= 1.0;
         self.set_slot(pkt.id, VACANT);
         if let Some(moved) = self.active.get(idx).map(|p| p.id) {
             self.set_slot(moved, idx);
@@ -721,7 +723,7 @@ mod tests {
         for id in 0..6 {
             b.admit(packet(id, usize::from(id % 2 == 1)));
         }
-        assert_eq!((b.peak, b.counts.clone()), (6, vec![3, 3]));
+        assert_eq!((b.peak, b.counts.clone()), (6, vec![3.0, 3.0]));
         // Removing index 1 moves the last packet (id 5) into its place.
         assert_eq!(b.depart(1).id, 1);
         assert_eq!(b.active[1].id, 5);
@@ -739,7 +741,7 @@ mod tests {
         }
         assert!(b.slots.is_empty());
         assert_eq!(b.base, 7);
-        assert_eq!((b.peak, b.counts.clone()), (6, vec![0, 0]));
+        assert_eq!((b.peak, b.counts.clone()), (6, vec![0.0, 0.0]));
         // An id out of sequence stays unindexed.
         b.admit(packet(40, 1));
         assert_eq!(b.position(40), None);

@@ -1,8 +1,11 @@
 //! Property tests for the event calendar: [`EventCalendar`] must pop in
 //! exactly the order a sorted-vector reference model would — earliest
 //! time first (by `f64::total_cmp`), FIFO by sequence number on ties —
-//! for arbitrary interleavings of schedules and pops. The engine's
-//! determinism contract rests on this ordering being total and stable.
+//! for arbitrary interleavings of schedules, pops and replacements of
+//! the earliest event. A replacement must match the model's pop followed
+//! by a schedule: the same sequence numbers, pending count and pop order.
+//! The engine's determinism contract rests on this ordering being total
+//! and stable.
 
 use greednet_des::calendar::{EventCalendar, EventQueue};
 use greednet_des::SimTime;
@@ -39,24 +42,27 @@ impl SortedVecModel {
     }
 }
 
-/// One step of the interleaving: schedule at the given time, or pop.
+/// One step of the interleaving: schedule at the given time, pop, or
+/// peek and then replace the earliest event with one at the given time.
 #[derive(Debug, Clone)]
 enum Op {
     Schedule(f64),
     Pop,
+    Replace(f64),
 }
 
-/// Draws ops at a 3:1 schedule:pop ratio. A coarse integer grid forces
-/// bitwise-equal time collisions, so the seq tie-break is exercised
-/// constantly; the signed zeros and fine-grained times cover the
-/// total_cmp path.
+/// Draws ops at a 6:2:2 schedule:pop:replace ratio. A coarse integer
+/// grid forces bitwise-equal time collisions, for schedules and
+/// replacements alike, so the seq tie-break is exercised constantly; the
+/// signed zeros and fine-grained times cover the total_cmp path.
 fn op_strategy() -> impl Strategy<Value = Op> {
-    (0u8..8, 0u8..10, 0.0f64..100.0).prop_map(|(pick, grid, fine)| match pick {
+    (0u8..10, 0u8..10, 0.0f64..100.0).prop_map(|(pick, grid, fine)| match pick {
         0..=2 => Op::Schedule(f64::from(grid)),
         3 => Op::Schedule(-0.0),
         4 => Op::Schedule(0.0),
         5 => Op::Schedule(fine),
-        _ => Op::Pop,
+        6 | 7 => Op::Pop,
+        _ => Op::Replace(f64::from(grid)),
     })
 }
 
@@ -83,6 +89,14 @@ proptest! {
                         }
                         (c, m) => prop_assert!(false, "emptiness diverged: calendar {:?} vs model {:?}", c.is_some(), m.is_some()),
                     }
+                }
+                Op::Replace(t) => {
+                    let earliest = calendar.peek().map(|ev| (ev.time.get().to_bits(), ev.seq, ev.item));
+                    let popped = model.pop().map(|(t, seq, payload)| (t.to_bits(), seq, payload));
+                    prop_assert_eq!(earliest, popped);
+                    let seq_c = calendar.replace_earliest(SimTime::raw(t), payload);
+                    let seq_m = model.schedule(t, payload);
+                    prop_assert_eq!(seq_c, seq_m);
                 }
             }
             // Invariants checked at every step, not just at pops.

@@ -203,8 +203,8 @@ const MUTATIONS: &[(&str, Origin, &str, &str)] = &[
     (
         "GN10",
         Origin::Workspace("crates/des/src/calendar.rs"),
-        "item: s.item,",
-        "item: s.item.clone(),",
+        "self.heap.pop().map(|s| s.0)",
+        "self.heap.pop().map(|s| s.0.clone())",
     ),
     (
         "GN11",

@@ -16,6 +16,9 @@
 //!
 //! Keeping the two audited casts *here* (rather than at call sites)
 //! means every new lossy cast elsewhere is a clippy error by default.
+//! Every helper is `#[inline]`: without LTO a non-generic function is an
+//! out-of-line call from other crates, and the DES engine converts on
+//! per-event paths.
 
 /// Converts a container index or count to a `u64` seed/stream index.
 ///
@@ -23,6 +26,7 @@
 /// the fallback arm is unreachable; it exists only to keep the function
 /// total without a panic path.
 #[must_use]
+#[inline]
 pub fn index_to_u64(i: usize) -> u64 {
     u64::try_from(i).unwrap_or(u64::MAX)
 }
@@ -32,6 +36,7 @@ pub fn index_to_u64(i: usize) -> u64 {
 /// Lossless on every supported platform (`usize` is at least 32 bits);
 /// the fallback arm keeps the function total without a panic path.
 #[must_use]
+#[inline]
 pub fn u32_to_usize(x: u32) -> usize {
     usize::try_from(x).unwrap_or(usize::MAX)
 }
@@ -43,6 +48,7 @@ pub fn u32_to_usize(x: u32) -> usize {
 /// (debug-asserted); the clamp makes release builds total instead of
 /// wrapping to a huge index.
 #[must_use]
+#[inline]
 pub fn isize_to_usize(i: isize) -> usize {
     debug_assert!(i >= 0, "negative index {i} converted to usize");
     usize::try_from(i).unwrap_or(0)
@@ -56,6 +62,7 @@ pub fn isize_to_usize(i: isize) -> usize {
 /// "physical quantity" validation lives next to the other numeric
 /// boundary checks rather than being re-derived per newtype.
 #[must_use]
+#[inline]
 pub fn checked_nonneg(x: f64) -> Option<f64> {
     (x.is_finite() && x >= 0.0).then_some(x)
 }
@@ -63,6 +70,7 @@ pub fn checked_nonneg(x: f64) -> Option<f64> {
 /// Validates that `x` is finite and strictly positive, returning it
 /// unchanged or `None`.
 #[must_use]
+#[inline]
 pub fn checked_pos(x: f64) -> Option<f64> {
     (x.is_finite() && x > 0.0).then_some(x)
 }
@@ -70,6 +78,7 @@ pub fn checked_pos(x: f64) -> Option<f64> {
 /// Truncates a non-negative float to a `usize`, clamping to
 /// `[0, usize::MAX]`. NaN (debug-asserted against) maps to 0.
 #[must_use]
+#[inline]
 #[expect(
     clippy::cast_possible_truncation,
     clippy::cast_sign_loss,
@@ -84,6 +93,7 @@ pub fn f64_to_usize(x: f64) -> usize {
 /// Truncates a non-negative float to a `u64`, clamping to
 /// `[0, u64::MAX]`. NaN (debug-asserted against) maps to 0.
 #[must_use]
+#[inline]
 #[expect(
     clippy::cast_possible_truncation,
     clippy::cast_sign_loss,
