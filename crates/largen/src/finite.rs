@@ -1,16 +1,16 @@
 //! The finite-`N` engine: every one of `N` users best-responds to the
 //! previous sweep's population in a damped Jacobi iteration.
 //!
-//! Each sweep sums the load with the order-free `load_sum` and rebuilds
-//! the population in place. A FIFO sweep costs `O(N)`: its Φ reads only
-//! that load and each user's own rate. A Fair Share/SFQ sweep costs
-//! `O(N log N)`: it sorts the population into prefix sums and the
-//! sorted-prefix Φ profile, and each user's best response searches it
-//! from that user's own rank, so a Newton probe `d` ranks away costs
-//! `O(log d)`. The `N` best responses are sharded across the
-//! deterministic pool in fixed-size chunks. Chunk boundaries never depend
-//! on the thread count and the pool merges chunk results in task order,
-//! so the solution is **bitwise identical** at any `--threads`.
+//! Each sweep sums the load with the compensated `load_sum`, in user
+//! index order, and rebuilds the population in place. A FIFO sweep
+//! costs `O(N)`: its Φ reads only that load and each user's own rate. A
+//! Fair Share/SFQ sweep costs `O(N log N)`: it sorts the population into
+//! prefix sums and the sorted-prefix Φ profile, and each user's best
+//! response searches it from that user's own rank, so a Newton probe `d`
+//! ranks away costs `O(log d)`. The `N` best responses are sharded across
+//! the deterministic pool in fixed-size chunks. Chunk boundaries never
+//! depend on the thread count and the pool merges chunk results in task
+//! order, so the solution is **bitwise identical** at any `--threads`.
 
 use crate::kernel::{best_response_finite, load_sum, Population};
 use crate::model::{apportion, validate, ClassSpec, LargenDiscipline, LargenError, SolveOptions};
@@ -113,6 +113,15 @@ pub fn solve_finite_probed<P: Probe>(
         Some(v) => v.clone(),
         None => vec![DEFAULT_INIT; classes.len()],
     };
+    // A jittered start past f64::MAX would turn NaN at the overload rescue.
+    for (c, &x) in init.iter().enumerate() {
+        if !(x * (1.0 + opts.jitter)).is_finite() {
+            return Err(LargenError::BadInit(format!(
+                "class {c} init {x:e} overflows under jitter {}",
+                opts.jitter
+            )));
+        }
+    }
     let inv_n = 1.0 / n as f64;
     // Jittered start: a per-user multiplicative perturbation from the
     // user's own seed stream, so convergence to a jitter-independent

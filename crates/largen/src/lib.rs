@@ -10,9 +10,9 @@
 //!
 //! - **share-scale variables** `x = N·r`, `Φ = N·C`, aggregate load
 //!   `R = (1/N)·Σ x_i`, so equilibria have a well-defined limit;
-//! - an **order-free load sum** — every aggregate load is one binned sum
-//!   rounded once (correctly rounded for loads of similar users), so it
-//!   has the same bits in any order;
+//! - a **compensated load sum** — every aggregate load is one TwoSum
+//!   pass in member or class index order, within an ulp of the exact
+//!   sum, so its rounding sets no noise floor near saturation;
 //! - a **sorted-prefix congestion profile** — Fair Share for the whole
 //!   population in `O(N log N)` per sweep, built in one place and
 //!   searched from each deviator's own rank, so a Newton probe `d` ranks

@@ -143,7 +143,10 @@ pub enum LargenError {
         weight: f64,
     },
     /// `opts.init` was present but its length differs from the class
-    /// count, or an entry was non-finite/negative.
+    /// count, or an entry was non-finite/negative. The finite engine
+    /// also rejects an entry whose largest jittered start,
+    /// `init·(1 + jitter)`, is not finite; the continuum solver does not
+    /// jitter and accepts every finite entry.
     BadInit(String),
     /// A solver option was out of range.
     BadOptions(String),
@@ -346,6 +349,33 @@ mod tests {
             (bits(&b.class_x), bits(&b.class_phi))
         );
         assert_eq!((&a.class_counts, a.sweeps), (&b.class_counts, b.sweeps));
+    }
+
+    #[test]
+    fn finite_inits_that_overflow_under_jitter_are_bad() {
+        use crate::{solve_finite, solve_mean_field};
+        let classes = vec![ClassSpec::new(LogUtility::new(1.0, 1.0).boxed(), 1.0)];
+        let with_init = |x: f64| SolveOptions {
+            init: Some(vec![x]),
+            ..SolveOptions::default()
+        };
+        // Some of these starts, `init·(1 + 1e-3·(2u − 1))`, overflow.
+        for (disc, init) in [
+            (LargenDiscipline::Fifo, f64::MAX),
+            (LargenDiscipline::FairShare, f64::MAX / 1.0005),
+        ] {
+            assert!(matches!(
+                solve_finite(disc, &classes, 10, 1, 1, &with_init(init)),
+                Err(LargenError::BadInit(_))
+            ));
+        }
+        // Below the jitter's reach the start is finite and solves.
+        let disc = LargenDiscipline::FairShare;
+        let opts = with_init(f64::MAX / 1.002);
+        assert!(solve_finite(disc, &classes, 10, 1, 1, &opts).is_ok());
+        // The continuum does not jitter.
+        let opts = with_init(f64::MAX);
+        assert!(solve_mean_field(LargenDiscipline::Fifo, &classes, &opts).is_ok());
     }
 
     #[test]

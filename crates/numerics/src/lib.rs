@@ -38,9 +38,5 @@ pub use matrix::Matrix;
 /// Result alias for fallible numerical routines.
 pub type Result<T> = std::result::Result<T, NumericsError>;
 
-/// Default absolute/relative tolerance used across the workspace when the
-/// caller does not specify one.
-pub const DEFAULT_TOL: f64 = 1e-10;
-
 /// Maximum iterations used by iterative scalar solvers unless overridden.
 pub const DEFAULT_MAX_ITER: usize = 200;
